@@ -1,7 +1,7 @@
 //! Criterion benches: the gearbox transmit/receive pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mosaic_link::gearbox::Gearbox;
+use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::{Deskewer, Distributor, StripeConfig};
 
@@ -23,6 +23,36 @@ fn bench_gearbox(c: &mut Criterion) {
                 rx.receive(&ch).unwrap()
             },
         )
+    });
+    // The F19 harness geometry and path: 8 logical lanes over 12
+    // physical, am_period 16, batches of up to 32 frames of about the
+    // mixed workload's sizes, pushed through the allocation-free
+    // scratch pair with warm buffers.
+    let f19: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 96 + 7 * i]).collect();
+    let f19_refs: Vec<&[u8]> = f19.iter().map(|p| p.as_slice()).collect();
+    g.throughput(Throughput::Bytes(
+        f19.iter().map(|p| p.len() as u64).sum::<u64>(),
+    ));
+    let mut tx = Gearbox::new(8, 12, 16);
+    let (mut txs, mut rxs, mut batch) = (
+        TxScratch::default(),
+        RxScratch::default(),
+        RxBatch::default(),
+    );
+    let mut channels = Vec::new();
+    g.bench_function("transmit_into_8of12ch_32frames", |b| {
+        b.iter(|| tx.transmit_into(&f19_refs, &mut txs, &mut channels))
+    });
+    // A fresh pair, so the receiver's descrambler and frame numbering
+    // track this transmitter from the first epoch.
+    let mut tx = Gearbox::new(8, 12, 16);
+    let mut rx = Gearbox::new(8, 12, 16);
+    g.bench_function("roundtrip_into_8of12ch_32frames", |b| {
+        b.iter(|| {
+            tx.transmit_into(&f19_refs, &mut txs, &mut channels);
+            rx.receive_into(&channels, &mut rxs, &mut batch).unwrap();
+            batch.frames.len()
+        })
     });
     g.finish();
 }

@@ -6,34 +6,64 @@
 //! *detected* and surfaced as a lost frame — the simulator's ground truth
 //! for frame-loss-rate measurements.
 
-/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), table-driven.
+/// IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), slicing-by-8:
+/// eight bytes per step through eight 256-entry tables, the tail a byte
+/// at a time through the first. Allocation-free (lint R4).
 pub fn crc32(data: &[u8]) -> u32 {
-    // Build the table once.
-    fn table() -> &'static [u32; 256] {
-        use std::sync::OnceLock;
-        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, entry) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                }
-                *entry = c;
-            }
-            t
-        })
-    }
-    let t = table();
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
+}
+
+/// The slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table and
+/// `CRC_TABLES[k][i]` the CRC state of byte `i` followed by `k` zero
+/// bytes, so one step folds eight bytes with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Frame header magic (helps resynchronization scans in tests).
@@ -125,10 +155,47 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The byte-at-a-time table CRC-32 the sliced kernel replaced, kept
+    /// as its oracle.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *entry = c;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_answer() {
         // The classic check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc_matches_oracle_at_every_length() {
+        let data: Vec<u8> = (0..4096 + 7usize)
+            .map(|i| (i.wrapping_mul(131) ^ (i >> 5)) as u8)
+            .collect();
+        for len in 0..=4096 {
+            for start in [0, 3] {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} start {start}");
+            }
+        }
     }
 
     #[test]
@@ -190,6 +257,20 @@ mod tests {
     }
 
     proptest! {
+        /// The sliced kernel equals the byte-table oracle at every length
+        /// and at every alignment of the slice start.
+        #[test]
+        fn sliced_crc_matches_bytewise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..=4096),
+            skip in 0usize..8,
+            cut in 0usize..8,
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+            let a = skip.min(data.len());
+            let b = data.len().saturating_sub(cut).max(a);
+            prop_assert_eq!(crc32(&data[a..b]), crc32_bytewise(&data[a..b]));
+        }
+
         #[test]
         fn frame_into_matches_to_bytes(
             seq: u32,

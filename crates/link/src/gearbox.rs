@@ -18,7 +18,9 @@
 use crate::framing::{frame_into, parse_frame, Frame, FrameError};
 use crate::lanes::{FailureKind, LaneMap, NoSpares};
 use crate::scrambler::Scrambler;
-use crate::striping::{DeskewError, DeskewScratch, Deskewer, Distributor, LaneWord, StripeConfig};
+use crate::striping::{
+    DeskewError, DeskewScratch, Deskewer, Distributor, LaneStream, StripeConfig,
+};
 
 /// Idle word transmitted on spare/unassigned channels.
 const IDLE_WORD: u64 = 0x1E1E_1E1E_1E1E_1E1E;
@@ -56,13 +58,11 @@ pub struct RxReport {
 pub struct TxScratch {
     bytes: Vec<u8>,
     words: Vec<u64>,
-    logical: Vec<Vec<LaneWord>>,
 }
 
 /// Reusable receive-side working buffers for [`Gearbox::receive_into`].
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
-    lanes: Vec<Vec<LaneWord>>,
     deskew: DeskewScratch,
     words: Vec<u64>,
 }
@@ -167,7 +167,7 @@ impl Gearbox {
     /// Frame and transmit `payloads` (one frame each). Returns one word
     /// stream per *physical* channel: assigned channels carry stripes,
     /// spares carry idles, retired channels carry nothing.
-    pub fn transmit(&mut self, payloads: &[&[u8]]) -> Vec<Vec<LaneWord>> {
+    pub fn transmit(&mut self, payloads: &[&[u8]]) -> Vec<LaneStream> {
         let mut scratch = TxScratch::default();
         let mut channels = Vec::with_capacity(self.physical);
         self.transmit_into(payloads, &mut scratch, &mut channels);
@@ -183,7 +183,7 @@ impl Gearbox {
         &mut self,
         payloads: &[&[u8]],
         scratch: &mut TxScratch,
-        channels: &mut Vec<Vec<LaneWord>>,
+        channels: &mut Vec<LaneStream>,
     ) {
         // Frames → byte stream.
         scratch.bytes.clear();
@@ -191,41 +191,37 @@ impl Gearbox {
             frame_into(self.next_tx_seq, p, &mut scratch.bytes);
             self.next_tx_seq = self.next_tx_seq.wrapping_add(1);
         }
-        // Bytes → words (zero-padded tail).
-        scratch.words.clear();
-        for chunk in scratch.bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            scratch.words.push(u64::from_le_bytes(w));
-        }
-        // Pad to a whole marker block *before* scrambling, so the TX and
-        // RX scrambler states advance by exactly the same word count.
+        // Bytes → words (zero-padded tail), padded with zero words to a
+        // whole marker block *before* scrambling, so the TX and RX
+        // scrambler states advance by exactly the same word count.
         let block = self.cfg.block_payload();
-        while !scratch.words.len().is_multiple_of(block) || scratch.words.is_empty() {
-            scratch.words.push(0);
+        let padded = scratch.bytes.len().div_ceil(8).div_ceil(block).max(1) * block;
+        scratch.words.clear();
+        let chunks = scratch.bytes.chunks_exact(8);
+        let tail = chunks.remainder();
+        scratch.words.extend(chunks.map(le_word));
+        if !tail.is_empty() {
+            scratch.words.push(le_word(tail));
         }
-        // Scramble in place.
-        for w in scratch.words.iter_mut() {
-            *w = self.tx_scrambler.scramble_word(*w);
-        }
-        // Stripe over logical lanes.
-        self.dist
-            .stripe_into(&scratch.words, 0, &mut scratch.logical);
-        // Map to physical channels.
-        let stream_len = scratch.logical[0].len();
+        scratch.words.resize(padded, 0);
+        self.tx_scrambler.scramble_words(&mut scratch.words);
+        // Stripe straight into the assigned physical channels.
         channels.truncate(self.physical);
-        channels.resize_with(self.physical, Default::default);
-        for stream in channels.iter_mut() {
-            stream.clear();
-        }
-        for (logical, stream) in scratch.logical.iter().enumerate() {
-            channels[self.map.physical_for(logical)].extend_from_slice(stream);
-        }
-        // Spares idle at the same epoch length so the medium stays lit.
+        channels.resize_with(self.physical, LaneStream::new);
+        let assignment = self.map.assignment();
+        self.dist
+            .stripe_into(&scratch.words, 0, channels, assignment);
+        // Spares idle at the same epoch length so the medium stays lit;
+        // retired channels carry nothing.
+        let stream_len = padded / block * (self.cfg.am_period + 1);
         for (ch, stream) in channels.iter_mut().enumerate() {
-            let retired = self.map.retired().iter().any(|&(p, _)| p == ch);
-            if stream.is_empty() && !retired {
-                stream.resize(stream_len, LaneWord::Data(IDLE_WORD));
+            if assignment.contains(&ch) {
+                continue;
+            }
+            if self.map.retired().iter().any(|&(p, _)| p == ch) {
+                stream.clear();
+            } else {
+                stream.fill(stream_len, IDLE_WORD);
             }
         }
     }
@@ -236,7 +232,7 @@ impl Gearbox {
     /// reported via [`RxReport::deskew_failed`]. `Err` means the input is
     /// malformed: the number of streams does not match the gearbox's
     /// physical channel count.
-    pub fn receive(&mut self, channels: &[Vec<LaneWord>]) -> mosaic_units::Result<RxReport> {
+    pub fn receive(&mut self, channels: &[LaneStream]) -> mosaic_units::Result<RxReport> {
         let mut scratch = RxScratch::default();
         let mut batch = RxBatch::default();
         self.receive_into(channels, &mut scratch, &mut batch)?;
@@ -262,7 +258,7 @@ impl Gearbox {
     /// in the no-alloc registry with a counting-allocator harness).
     pub fn receive_into(
         &mut self,
-        channels: &[Vec<LaneWord>],
+        channels: &[LaneStream],
         scratch: &mut RxScratch,
         batch: &mut RxBatch,
     ) -> mosaic_units::Result<()> {
@@ -278,30 +274,57 @@ impl Gearbox {
         batch.corrupt_frames = 0;
         batch.payload_bytes = 0;
         batch.deskew_error = None;
-        // Gather the assigned channels in logical order.
-        scratch.lanes.truncate(self.cfg.lanes);
-        scratch.lanes.resize_with(self.cfg.lanes, Default::default);
-        for (l, lane) in scratch.lanes.iter_mut().enumerate() {
-            lane.clear();
-            lane.extend_from_slice(&channels[self.map.physical_for(l)]);
-        }
+        // Deskew the assigned channels in place, in logical order.
         let deskewer = Deskewer::new(self.cfg);
-        if let Err(e) =
-            deskewer.reassemble_into(&scratch.lanes, &mut scratch.deskew, &mut scratch.words)
-        {
+        if let Err(e) = deskewer.reassemble_into(
+            channels,
+            self.map.assignment(),
+            &mut scratch.deskew,
+            &mut scratch.words,
+        ) {
             batch.deskew_error = Some(e);
             return Ok(());
         }
         // Descramble and flatten to bytes.
-        for &w in scratch.words.iter() {
-            batch
-                .bytes
-                .extend_from_slice(&self.rx_scrambler.descramble_word(w).to_le_bytes());
+        self.rx_scrambler.descramble_words(&mut scratch.words);
+        batch.bytes.resize(scratch.words.len() * 8, 0);
+        for (dst, w) in batch.bytes.chunks_exact_mut(8).zip(&scratch.words) {
+            dst.copy_from_slice(&w.to_le_bytes());
         }
         batch.corrupt_frames = scan_frames_into(&batch.bytes, &mut batch.frames);
         batch.payload_bytes = batch.frames.iter().map(|s| s.len).sum();
         Ok(())
     }
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// Index of the first `byte` in `bytes` at or after `from`, or
+/// `bytes.len()` when there is none. Tests eight bytes per step: a
+/// zero byte of `x` sets its top bit in `(x − 0x01…01) & !x & 0x80…80`,
+/// and the lowest set bit marks the first one exactly (a borrow only
+/// runs upward from a zero byte).
+fn find_byte(bytes: &[u8], from: usize, byte: u8) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut i = from;
+    while i + 8 <= bytes.len() {
+        let x = le_word(&bytes[i..i + 8]) ^ (ONES * u64::from(byte));
+        let zero = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zero != 0 {
+            return i + (zero.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && bytes[i] != byte {
+        i += 1;
+    }
+    i.min(bytes.len())
 }
 
 /// Scan a byte stream for valid frames, resynchronizing on the magic after
@@ -331,7 +354,7 @@ pub fn scan_frames_into(bytes: &[u8], frames: &mut Vec<FrameSlot>) -> usize {
     let mut pos = 0usize;
     while pos + Frame::OVERHEAD <= bytes.len() {
         if bytes[pos] != magic[0] || bytes[pos + 1] != magic[1] {
-            pos += 1;
+            pos = find_byte(bytes, pos + 1, magic[0]);
             continue;
         }
         let len = u32::from_le_bytes([
@@ -402,7 +425,7 @@ mod tests {
         let data = payloads(5, 100);
         let refs: Vec<&[u8]> = data.iter().map(|p| p.as_slice()).collect();
         let channels = tx.transmit(&refs);
-        let skewed: Vec<Vec<LaneWord>> = channels
+        let skewed: Vec<LaneStream> = channels
             .iter()
             .enumerate()
             .map(|(i, s)| crate::striping::apply_skew(s, i * 5, 0xBAD))
@@ -420,9 +443,8 @@ mod tests {
         let mut channels = tx.transmit(&refs);
         // Corrupt a handful of data words on channel 2.
         let mut hits = 0;
-        for w in channels[2].iter_mut() {
-            if let LaneWord::Data(d) = w {
-                *d ^= 0x8000_0000;
+        for i in 0..channels[2].len() {
+            if channels[2].flip_bit(i, 31) {
                 hits += 1;
                 if hits == 3 {
                     break;
@@ -473,7 +495,7 @@ mod tests {
         let refs: Vec<&[u8]> = data.iter().map(|p| p.as_slice()).collect();
         let mut channels = tx.transmit(&refs);
         // Channel 3 goes dark mid-epoch: its stream is junk.
-        channels[3] = vec![LaneWord::Data(0); channels[3].len()];
+        channels[3] = LaneStream::filled(channels[3].len(), 0);
         let report = rx.receive(&channels).unwrap();
         assert!(report.deskew_failed);
         assert!(report.frames.is_empty());
@@ -487,7 +509,7 @@ mod tests {
         let mut rx = Gearbox::new(4, 4, 8);
         // Wrong number of channel streams is malformed input, not a
         // measured deskew failure.
-        assert!(rx.receive(&[vec![], vec![]]).is_err());
+        assert!(rx.receive(&[LaneStream::new(), LaneStream::new()]).is_err());
     }
 
     #[test]
@@ -543,7 +565,7 @@ mod tests {
         let data = payloads(5, 50);
         let refs: Vec<&[u8]> = data.iter().map(|p| p.as_slice()).collect();
         let mut channels = tx.transmit(&refs);
-        channels[3] = vec![LaneWord::Data(0); channels[3].len()];
+        channels[3] = LaneStream::filled(channels[3].len(), 0);
         let mut scratch = RxScratch::default();
         let mut batch = RxBatch::default();
         rx.receive_into(&channels, &mut scratch, &mut batch)
@@ -553,6 +575,22 @@ mod tests {
         // channel 3 under the identity assignment.
         assert_eq!(batch.deskew_error, Some(DeskewError::NoMarker { lane: 3 }));
         assert!(batch.frames.is_empty());
+    }
+
+    #[test]
+    fn find_byte_matches_a_linear_search() {
+        let mut bytes = vec![0u8; 40];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(37) & 0xF0;
+        }
+        for target in [0x00, 0x10, 0x50, 0x5A, 0xF0] {
+            for from in 0..=bytes.len() + 2 {
+                let linear = (from..bytes.len())
+                    .find(|&i| bytes[i] == target)
+                    .unwrap_or(bytes.len());
+                assert_eq!(find_byte(&bytes, from, target), linear, "{target} {from}");
+            }
+        }
     }
 
     #[test]

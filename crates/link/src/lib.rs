@@ -39,7 +39,7 @@ pub use gearbox::{
     scan_frames, scan_frames_into, FrameSlot, Gearbox, RxBatch, RxReport, RxScratch, TxScratch,
 };
 pub use lanes::{FailureKind, LaneHealth, LaneMap, NoSpares};
-pub use striping::{DeskewError, DeskewScratch, Deskewer, Distributor, LaneWord, StripeConfig};
+pub use striping::{DeskewError, DeskewScratch, Deskewer, Distributor, LaneStream, StripeConfig};
 
 /// The workspace error type, re-exported for link-layer callers.
 pub use mosaic_units::{MosaicError, Result};

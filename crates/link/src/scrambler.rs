@@ -84,42 +84,96 @@ impl Scrambler {
     /// reversed — `reverse_bits()` maps bit 57 → bit 6, then `>> 6`
     /// aligns the oldest bit to position 0.
     #[inline]
-    fn history_window(&self) -> u128 {
-        (self.state.reverse_bits() >> 6) as u128
+    fn history_window(&self) -> u64 {
+        self.state.reverse_bits() >> 6
     }
 
-    /// Word-parallel scramble: all 64 output bits in a handful of shifts
-    /// and XORs (DESIGN §11). With the stream window
-    /// `window = history | out << 58`, each output bit is
-    /// `out_i = word_i ^ window_i ^ window_{i+19}` (the taps at stream
-    /// distances 58 and 39). The feedback distance 39 < 64 makes out bits
-    /// 39.. depend on out bits 0..25 of the *same* word, so the closed
-    /// form is iterated twice: pass 1 settles bits 0..39 (history only),
-    /// pass 2 settles the rest (chain depth ⌈64/39⌉ = 2).
+    /// Store a stream-order history window back as the register (the
+    /// inverse of [`Scrambler::history_window`]).
+    #[inline]
+    fn set_history_window(&mut self, h: u64) {
+        self.state = (h << 6).reverse_bits() & ((1u64 << 58) - 1);
+    }
+
+    /// Word-parallel scramble of one word: [`Scrambler::scramble_words_sliced`]
+    /// on a one-word slice.
     #[inline]
     pub fn scramble_word_sliced(&mut self, word: u64) -> u64 {
-        let h = self.history_window();
-        let mut out = 0u64;
-        for _ in 0..2 {
-            let window = h | (out as u128) << 58;
-            out = word ^ (window as u64) ^ ((window >> 19) as u64);
+        let mut w = [word];
+        self.scramble_words_sliced(&mut w);
+        w[0]
+    }
+
+    /// Word-parallel descramble of one word:
+    /// [`Scrambler::descramble_words_sliced`] on a one-word slice.
+    #[inline]
+    pub fn descramble_word_sliced(&mut self, word: u64) -> u64 {
+        let mut w = [word];
+        self.descramble_words_sliced(&mut w);
+        w[0]
+    }
+
+    /// Scramble `words` in place, LSB-first, word after word.
+    /// Dispatches to the word-parallel kernel by default; `--features
+    /// scalar-kernels` retains the bit loop as the differential oracle.
+    pub fn scramble_words(&mut self, words: &mut [u64]) {
+        #[cfg(feature = "scalar-kernels")]
+        for w in words.iter_mut() {
+            *w = self.scramble_word_scalar(*w);
         }
-        // The register now holds the last 58 emitted bits, newest at the
-        // LSB: reverse back out of stream order and mask to 58 bits.
-        self.state = out.reverse_bits() & ((1u64 << 58) - 1);
-        out
+        #[cfg(not(feature = "scalar-kernels"))]
+        self.scramble_words_sliced(words);
+    }
+
+    /// Descramble `words` in place. Dispatches like
+    /// [`Scrambler::scramble_words`].
+    pub fn descramble_words(&mut self, words: &mut [u64]) {
+        #[cfg(feature = "scalar-kernels")]
+        for w in words.iter_mut() {
+            *w = self.descramble_word_scalar(*w);
+        }
+        #[cfg(not(feature = "scalar-kernels"))]
+        self.descramble_words_sliced(words);
+    }
+
+    /// Word-parallel scramble: all 64 output bits of a word in a handful
+    /// of shifts and XORs (DESIGN §11). With the stream window
+    /// `window = h | out << 58` over the 58-bit history `h`, each output
+    /// bit is `out_i = word_i ^ window_i ^ window_{i+19}` (the taps at
+    /// stream distances 58 and 39); in 64-bit halves `window >> 19` is
+    /// `h >> 19 | out << 39`. The feedback distance 39 < 64 makes out
+    /// bits 39.. depend on out bits 0..25 of the *same* word, so the
+    /// closed form is iterated twice: pass 1 settles bits 0..39 (history
+    /// only), pass 2 settles the rest (chain depth ⌈64/39⌉ = 2). The
+    /// history stays in stream order from word to word — the last 58
+    /// line bits of a word are `out >> 6` — so the register is reversed
+    /// into and out of stream order once per slice, not twice per word.
+    pub fn scramble_words_sliced(&mut self, words: &mut [u64]) {
+        let mut h = self.history_window();
+        for w in words.iter_mut() {
+            let mut out = 0u64;
+            for _ in 0..2 {
+                out = *w ^ h ^ (out << 58) ^ (h >> 19) ^ (out << 39);
+            }
+            h = out >> 6;
+            *w = out;
+        }
+        self.set_history_window(h);
     }
 
     /// Word-parallel descramble. Self-synchronizing, so the window is
     /// fed with *received* bits — no feedback dependency, single pass:
     /// `out_i = word_i ^ window_i ^ window_{i+19}` with
-    /// `window = history | word << 58`.
-    #[inline]
-    pub fn descramble_word_sliced(&mut self, word: u64) -> u64 {
-        let window = self.history_window() | (word as u128) << 58;
-        let out = word ^ (window as u64) ^ ((window >> 19) as u64);
-        self.state = word.reverse_bits() & ((1u64 << 58) - 1);
-        out
+    /// `window = h | word << 58`, history kept in stream order like
+    /// [`Scrambler::scramble_words_sliced`].
+    pub fn descramble_words_sliced(&mut self, words: &mut [u64]) {
+        let mut h = self.history_window();
+        for w in words.iter_mut() {
+            let line = *w;
+            *w = line ^ h ^ (line << 58) ^ (h >> 19) ^ (line << 39);
+            h = line >> 6;
+        }
+        self.set_history_window(h);
     }
 
     /// Bit-at-a-time scramble, retained as the differential oracle for
@@ -220,6 +274,30 @@ mod tests {
             for &w in &words {
                 prop_assert_eq!(rx.descramble_word(tx.scramble_word(w)), w);
             }
+        }
+
+        /// The slice kernels must match the bit loop word for word and
+        /// leave the same register state, from any starting state and
+        /// for any slice length (empty included).
+        #[test]
+        fn slice_kernels_match_bit_loop(
+            state in 1u64..(1 << 58),
+            words in proptest::collection::vec(any::<u64>(), 0..40),
+        ) {
+            let mut tx_s = Scrambler { state };
+            let mut tx_b = Scrambler { state };
+            let mut line = words.clone();
+            tx_s.scramble_words_sliced(&mut line);
+            let oracle: Vec<u64> = words.iter().map(|&w| tx_b.scramble_word_scalar(w)).collect();
+            prop_assert_eq!(&line, &oracle);
+            prop_assert_eq!(tx_s.state, tx_b.state);
+            let mut rx_s = Scrambler { state };
+            let mut rx_b = Scrambler { state };
+            let mut back = line.clone();
+            rx_s.descramble_words_sliced(&mut back);
+            let oracle: Vec<u64> = line.iter().map(|&w| rx_b.descramble_word_scalar(w)).collect();
+            prop_assert_eq!(&back, &oracle);
+            prop_assert_eq!(rx_s.state, rx_b.state);
         }
 
         /// The word-parallel kernels must match the bit loop exactly —

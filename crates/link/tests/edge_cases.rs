@@ -6,7 +6,7 @@
 
 use mosaic_link::framing::{Frame, FRAME_MAGIC};
 use mosaic_link::gearbox::{scan_frames, scan_frames_into, Gearbox};
-use mosaic_link::striping::{apply_skew, Deskewer, Distributor, LaneWord, StripeConfig};
+use mosaic_link::striping::{apply_skew, Deskewer, Distributor, LaneStream, StripeConfig};
 
 #[test]
 fn zero_length_payload_roundtrips() {
@@ -64,7 +64,7 @@ fn skew_at_and_past_stream_length_still_recovers() {
     let streams = dist.stripe(&payload, 0);
     let len = streams[0].len();
     for extreme in [len - 1, len, len + 1, 3 * len] {
-        let skewed: Vec<Vec<LaneWord>> = streams
+        let skewed: Vec<LaneStream> = streams
             .iter()
             .enumerate()
             .map(|(i, s)| apply_skew(s, if i == 2 { extreme } else { i }, 0xBAD))
@@ -77,9 +77,10 @@ fn skew_at_and_past_stream_length_still_recovers() {
 #[test]
 fn zero_skew_on_empty_stream_is_identity() {
     // Degenerate apply_skew inputs: no stream, no skew.
-    assert_eq!(apply_skew(&[], 0, 0xBAD), Vec::new());
-    let junk_only = apply_skew(&[], 3, 0x1234);
-    assert_eq!(junk_only, vec![LaneWord::Data(0x1234); 3]);
+    assert_eq!(apply_skew(&LaneStream::new(), 0, 0xBAD), LaneStream::new());
+    let junk_only = apply_skew(&LaneStream::new(), 3, 0x1234);
+    assert_eq!(junk_only, LaneStream::filled(3, 0x1234));
+    assert!((0..3).all(|i| !junk_only.is_marker(i)));
 }
 
 #[test]

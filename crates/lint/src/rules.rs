@@ -275,6 +275,16 @@ pub fn default_config() -> Config {
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             RegistryFn {
+                file: "crates/link/src/scrambler.rs",
+                func: "scramble_words_sliced",
+                harness: Some("crates/sim/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/scrambler.rs",
+                func: "descramble_words_sliced",
+                harness: Some("crates/sim/tests/alloc_free.rs"),
+            },
+            RegistryFn {
                 file: "crates/link/src/prbs.rs",
                 func: "next_bits",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
@@ -323,6 +333,40 @@ pub fn default_config() -> Config {
                 func: "receive_into",
                 harness: Some("crates/link/tests/alloc_free.rs"),
             },
+            // The data plane underneath them: direct striping into the
+            // physical channel streams, in-place deskew, the control-bitmap
+            // lane fault helpers the traffic harness corrupts with, and
+            // the sliced CRC every frame passes through twice.
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "stripe_into",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "reassemble_into",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "kill",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "truncate",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/striping.rs",
+                func: "flip_bit",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/framing.rs",
+                func: "crc32",
+                harness: Some("crates/link/tests/alloc_free.rs"),
+            },
             // The traffic harness epoch step: emit, corrupt, deskew, match,
             // and requeue without allocating — cold reconfiguration paths
             // (gearbox rebuild on width reduction, controller transition
@@ -330,6 +374,12 @@ pub fn default_config() -> Config {
             RegistryFn {
                 file: "crates/traffic/src/harness.rs",
                 func: "step",
+                harness: Some("crates/traffic/tests/alloc_free.rs"),
+            },
+            // The per-frame payload generator the step dequeues through.
+            RegistryFn {
+                file: "crates/traffic/src/workload.rs",
+                func: "payload_into",
                 harness: Some("crates/traffic/tests/alloc_free.rs"),
             },
         ],

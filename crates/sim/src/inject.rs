@@ -6,7 +6,7 @@
 //! process is exactly i.i.d. Bernoulli per bit.
 
 use crate::rng::DetRng;
-use mosaic_link::striping::LaneWord;
+use mosaic_link::striping::LaneStream;
 
 /// A streaming bit-error injector for one channel.
 #[derive(Debug, Clone)]
@@ -164,49 +164,34 @@ impl BitErrorInjector {
     /// model them as error-free and account their loss separately via
     /// fault injection). Returns flips.
     ///
-    /// The default build gathers runs of consecutive `Data` words into a
-    /// stack buffer and corrupts each run with the batched
+    /// The default build finds each run of consecutive data words in the
+    /// stream's control bitmap and corrupts it in place with the batched
     /// [`BitErrorInjector::corrupt_words`] kernel; markers never consume
     /// stream positions, so the bit stream — and every draw — is
     /// identical to the retained word-at-a-time loop (`scalar-kernels`).
-    pub fn corrupt_lane(&mut self, lane: &mut [LaneWord]) -> u64 {
+    pub fn corrupt_lane(&mut self, lane: &mut LaneStream) -> u64 {
         #[cfg(feature = "scalar-kernels")]
         {
             let mut flips = 0u64;
-            for w in lane.iter_mut() {
-                if let LaneWord::Data(d) = w {
-                    flips += self.corrupt_word(d) as u64;
+            let (words, ctrl) = lane.words_mut();
+            for (i, w) in words.iter_mut().enumerate() {
+                if (ctrl[i / 64] >> (i % 64)) & 1 == 0 {
+                    flips += self.corrupt_word(w) as u64;
                 }
             }
             flips
         }
         #[cfg(not(feature = "scalar-kernels"))]
         {
-            const RUN: usize = 64;
-            let mut buf = [0u64; RUN];
             let mut flips = 0u64;
             let mut i = 0;
-            while i < lane.len() {
-                if !matches!(lane[i], LaneWord::Data(_)) {
-                    i += 1;
-                    continue;
+            let len = lane.len();
+            while i < len {
+                let end = lane.next_marker(i, len).unwrap_or(len);
+                if end > i {
+                    flips += self.corrupt_words(&mut lane.words_mut().0[i..end]);
                 }
-                // Gather up to RUN consecutive data words.
-                let mut len = 0;
-                while len < RUN {
-                    match lane.get(i + len) {
-                        Some(LaneWord::Data(d)) => {
-                            buf[len] = *d;
-                            len += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                flips += self.corrupt_words(&mut buf[..len]);
-                for (w, &b) in lane[i..i + len].iter_mut().zip(&buf[..len]) {
-                    *w = LaneWord::Data(b);
-                }
-                i += len;
+                i = end + 1;
             }
             flips
         }
@@ -351,25 +336,26 @@ mod tests {
             exp in -3f64..-0.8,
             mask in proptest::collection::vec(any::<bool>(), 1..200),
         ) {
-            // corrupt_lane's run gathering must reproduce the plain
+            // corrupt_lane's bitmap run finding must reproduce the plain
             // word-at-a-time loop under arbitrary marker/data patterns
             // (markers consume no stream positions in either form).
             let ber = 10f64.powf(exp);
-            let mut lane_a: Vec<LaneWord> = mask.iter().enumerate()
-                .map(|(i, &data)| if data {
-                    LaneWord::Data(i as u64)
+            let mut lane_a = LaneStream::new();
+            for (i, &data) in mask.iter().enumerate() {
+                if data {
+                    lane_a.push_data(i as u64);
                 } else {
-                    LaneWord::Marker(i as u32)
-                })
-                .collect();
+                    lane_a.push_marker(i as u32);
+                }
+            }
             let mut lane_b = lane_a.clone();
             let mut inj_a = BitErrorInjector::new(ber, DetRng::new(seed));
             let mut inj_b = BitErrorInjector::new(ber, DetRng::new(seed));
             let fa = inj_a.corrupt_lane(&mut lane_a);
             let mut fb = 0u64;
-            for w in lane_b.iter_mut() {
-                if let LaneWord::Data(d) = w {
-                    fb += inj_b.corrupt_word(d) as u64;
+            for i in 0..lane_b.len() {
+                if !lane_b.is_marker(i) {
+                    fb += inj_b.corrupt_word(&mut lane_b.words_mut().0[i]) as u64;
                 }
             }
             prop_assert_eq!(fa, fb);

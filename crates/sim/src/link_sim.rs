@@ -18,7 +18,7 @@ use crate::rng::DetRng;
 use crate::sweep::Exec;
 use mosaic_link::gearbox::Gearbox;
 use mosaic_link::lanes::{FailureKind, LaneHealth};
-use mosaic_link::striping::LaneWord;
+use mosaic_link::striping::LaneStream;
 
 /// Configuration of a link simulation run.
 #[derive(Debug, Clone)]
@@ -295,15 +295,12 @@ pub fn simulate_link_with(exec: &Exec, cfg: &LinkSimConfig) -> LinkSimReport {
         //    one parallel task per channel, each confined to its own
         //    stream and state.
         {
-            let mut medium: Vec<(&mut Vec<LaneWord>, &mut ChannelState)> =
+            let mut medium: Vec<(&mut LaneStream, &mut ChannelState)> =
                 channels.iter_mut().zip(states.iter_mut()).collect();
             exec.par_map_mut(&mut medium, |_, (stream, st)| {
                 if st.dead {
                     // A dark channel delivers junk words and no markers.
-                    let junk_rng_word = 0u64;
-                    for w in stream.iter_mut() {
-                        *w = LaneWord::Data(junk_rng_word);
-                    }
+                    stream.kill();
                     st.epoch_bits = 0;
                     st.epoch_errors = 0;
                     return;

@@ -216,24 +216,32 @@ pub fn record_series(name: &str, values: &[f64]) {
         .extend_from_slice(values);
 }
 
-/// Thread CPU time consumed by this process, in nanoseconds, summed over
-/// all live threads. Reads `/proc/self/task/*/schedstat` (first field is
-/// on-CPU time in ns); returns 0 where that interface is unavailable, so
-/// callers must treat 0 as "unknown", not "free".
+/// CPU time (user + system) consumed by this process so far, in
+/// nanoseconds. Reads utime and stime from `/proc/self/stat`: the kernel
+/// folds the time of every exited thread into those process totals, so
+/// the count stays right after sweep workers have joined. The fields
+/// count clock ticks (`USER_HZ`, 100 per second on Linux), so the
+/// resolution is 10 ms. Returns 0 where that interface is unavailable,
+/// so callers must treat 0 as "unknown", not "free".
 pub fn process_cpu_ns() -> u64 {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+    /// Nanoseconds per `/proc/<pid>/stat` clock tick (`USER_HZ` = 100).
+    const NS_PER_TICK: u64 = 10_000_000;
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
         return 0;
     };
-    let mut total = 0u64;
-    for entry in tasks.flatten() {
-        let path = entry.path().join("schedstat");
-        if let Ok(text) = std::fs::read_to_string(path) {
-            if let Some(first) = text.split_whitespace().next() {
-                total += first.parse::<u64>().unwrap_or(0);
-            }
-        }
-    }
-    total
+    // Field 2 (comm) may contain spaces and parentheses; the fields
+    // after its last `)` are space-separated, utime and stime being the
+    // 12th and 13th of them (fields 14 and 15 of the line).
+    let Some((_, rest)) = stat.rsplit_once(')') else {
+        return 0;
+    };
+    let ticks: u64 = rest
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .map(|v| v.parse::<u64>().unwrap_or(0))
+        .sum();
+    ticks.saturating_mul(NS_PER_TICK)
 }
 
 /// Peak resident-set size of this process so far, in bytes. Reads the
@@ -385,6 +393,47 @@ mod tests {
         let timings = snap.timings_json().to_string_pretty();
         assert!(timings.contains("wall_ns"));
         assert!(timings.contains("\"trials\": 3"));
+    }
+
+    /// On-CPU nanoseconds of the calling thread so far (first field of
+    /// its `schedstat`), or `None` where that interface is unavailable.
+    fn thread_cpu_ns() -> Option<u64> {
+        let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        text.split_whitespace().next()?.parse().ok()
+    }
+
+    #[test]
+    fn process_cpu_counts_exited_threads() {
+        if process_cpu_ns() == 0 || thread_cpu_ns().is_none() {
+            return; // no procfs: the count is documented as unknown
+        }
+        const SPIN_NS: u64 = 200_000_000;
+        let before = process_cpu_ns();
+        // The worker spins until it has itself been on a CPU for
+        // SPIN_NS, reports that, and exits before the second read.
+        let worker_ns = std::thread::spawn(|| {
+            let t0 = Stopwatch::start();
+            let mut x = 1u64;
+            loop {
+                for _ in 0..10_000 {
+                    x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+                }
+                let on_cpu = thread_cpu_ns().unwrap_or(0);
+                if on_cpu >= SPIN_NS || t0.elapsed() > Duration::from_secs(20) {
+                    return on_cpu;
+                }
+            }
+        })
+        .join()
+        .unwrap_or(0);
+        let after = process_cpu_ns();
+        assert!(worker_ns >= SPIN_NS, "worker only ran {worker_ns} ns");
+        // Two 10 ms ticks of slack for the tick-granular process totals.
+        let counted = after.saturating_sub(before);
+        assert!(
+            counted + 20_000_000 >= worker_ns,
+            "process CPU grew {counted} ns across a joined worker that ran {worker_ns} ns"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
-use mosaic_link::striping::LaneWord;
+use mosaic_link::striping::LaneStream;
 use mosaic_sim::inject::BitErrorInjector;
 use mosaic_sim::montecarlo::SlicerPoint;
 use mosaic_sim::rng::DetRng;
@@ -101,16 +101,15 @@ fn sliced_kernel_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "injector kernels allocated {n} times");
 
-    // --- Lane corruption: the run-gathering buffer is a stack array -----
-    let mut lane: Vec<LaneWord> = (0..512)
-        .map(|i| {
-            if i % 33 == 0 {
-                LaneWord::Marker(i as u32)
-            } else {
-                LaneWord::Data(i as u64)
-            }
-        })
-        .collect();
+    // --- Lane corruption: data runs are corrupted in place ---------------
+    let mut lane = LaneStream::new();
+    for i in 0..512u64 {
+        if i % 33 == 0 {
+            lane.push_marker(i as u32);
+        } else {
+            lane.push_data(i);
+        }
+    }
     let n = allocs_during(|| {
         for _ in 0..8 {
             total += inj.corrupt_lane(&mut lane);
@@ -127,6 +126,17 @@ fn sliced_kernel_paths_do_not_allocate() {
             total += u64::from(rx.descramble_word(w).count_ones());
             let w = tx.scramble_word_sliced(i);
             total += u64::from(rx.descramble_word_sliced(w).count_ones());
+        }
+        let mut block = [0u64; 128];
+        for round in 0..8u64 {
+            block
+                .iter_mut()
+                .for_each(|w| *w = round.wrapping_mul(0x9E37_79B9));
+            tx.scramble_words(&mut block);
+            rx.descramble_words(&mut block);
+            tx.scramble_words_sliced(&mut block);
+            rx.descramble_words_sliced(&mut block);
+            total += u64::from(block[127].count_ones());
         }
     });
     assert_eq!(n, 0, "scrambler word kernels allocated {n} times");

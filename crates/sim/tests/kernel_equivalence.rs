@@ -10,7 +10,7 @@
 
 use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
-use mosaic_link::striping::LaneWord;
+use mosaic_link::striping::LaneStream;
 use mosaic_sim::inject::BitErrorInjector;
 use mosaic_sim::montecarlo::SlicerPoint;
 use mosaic_sim::rng::DetRng;
@@ -112,7 +112,7 @@ proptest! {
     }
 
     /// Corruption under arbitrary fault-campaign masks: a lane stream
-    /// with an arbitrary marker/data mask, corrupted by the run-gathering
+    /// with an arbitrary marker/data mask, corrupted by the bitmap-run
     /// batched path, must equal the word-at-a-time oracle (markers never
     /// consume stream positions in either).
     #[test]
@@ -125,24 +125,21 @@ proptest! {
         let rng = DetRng::new(seed);
         let mut inj_batched = BitErrorInjector::new(ber, rng.clone());
         let mut inj_oracle = BitErrorInjector::new(ber, rng);
-        let mut lane: Vec<LaneWord> = mask
-            .iter()
-            .enumerate()
-            .map(|(i, &marker)| {
-                if marker {
-                    LaneWord::Marker(i as u32)
-                } else {
-                    LaneWord::Data(0x0123_4567_89AB_CDEF ^ i as u64)
-                }
-            })
-            .collect();
+        let mut lane = LaneStream::new();
+        for (i, &marker) in mask.iter().enumerate() {
+            if marker {
+                lane.push_marker(i as u32);
+            } else {
+                lane.push_data(0x0123_4567_89AB_CDEF ^ i as u64);
+            }
+        }
         let mut lane_oracle = lane.clone();
         for _ in 0..rounds {
             let flips = inj_batched.corrupt_lane(&mut lane);
             let mut oracle_flips = 0u64;
-            for w in lane_oracle.iter_mut() {
-                if let LaneWord::Data(d) = w {
-                    oracle_flips += inj_oracle.corrupt_word(d) as u64;
+            for i in 0..lane_oracle.len() {
+                if !lane_oracle.is_marker(i) {
+                    oracle_flips += inj_oracle.corrupt_word(&mut lane_oracle.words_mut().0[i]) as u64;
                 }
             }
             prop_assert_eq!(flips, oracle_flips);

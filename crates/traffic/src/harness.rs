@@ -58,7 +58,7 @@ use crate::workload::{FrameSpec, Workload, WorkloadConfig};
 use mosaic_link::degrade::{Cause, CtlState, DegradeConfig, DegradeController, Transition};
 use mosaic_link::gearbox::{Gearbox, RxBatch, RxScratch, TxScratch};
 use mosaic_link::lanes::FailureKind;
-use mosaic_link::striping::LaneWord;
+use mosaic_link::striping::LaneStream;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign};
 use std::collections::VecDeque;
 
@@ -245,7 +245,7 @@ pub struct LinkHarness {
     spans: Vec<(usize, usize)>,
     tx_scratch: TxScratch,
     rx_scratch: RxScratch,
-    channels: Vec<Vec<LaneWord>>,
+    channels: Vec<LaneStream>,
     batch: RxBatch,
 }
 
@@ -476,9 +476,7 @@ impl LinkHarness {
             let eff = self.campaign.effect_at(ch, epoch as usize);
             let mut errors = 0u64;
             if eff.dead {
-                for w in stream.iter_mut() {
-                    *w = LaneWord::Data(0);
-                }
+                stream.kill();
             } else {
                 if eff.extra_ber > 0.0 && words > 0 {
                     let flips = ((eff.extra_ber.min(0.5) * bits as f64) + 0.5) as u64;
@@ -486,11 +484,8 @@ impl LinkHarness {
                     // Evenly spaced victims, one bit each, FNV-masked.
                     for k in 0..flips {
                         let idx = ((k * words as u64) / flips) as usize;
-                        if let LaneWord::Data(w) = stream[idx] {
-                            let bit = fnv_mix([epoch, ch as u64, k]) % 64;
-                            stream[idx] = LaneWord::Data(w ^ (1u64 << bit));
-                            errors += 1;
-                        }
+                        let bit = (fnv_mix([epoch, ch as u64, k]) % 64) as u32;
+                        errors += u64::from(stream.flip_bit(idx, bit));
                     }
                 }
                 if eff.skew_epochs > 0 && words > 0 {

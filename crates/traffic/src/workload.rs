@@ -206,23 +206,109 @@ impl Workload {
 
     /// Append the frame's payload pattern to `arena` and return its
     /// `(start, len)` span — the allocation-free arena form the harness
-    /// epoch loop uses.
+    /// epoch loop uses. Byte `i` is the low byte of `(x_{i+1} >> 33) ^ i`
+    /// for an LCG seeded from flow and sequence number. Each whole 8-byte
+    /// word takes eight independent multiply-adds off one state through
+    /// the jump-ahead table `LCG_JUMP`, instead of a chain of eight
+    /// dependent steps; the tail steps the LCG once per byte.
     pub fn payload_into(spec: &FrameSpec, arena: &mut Vec<u8>) -> (usize, usize) {
         let start = arena.len();
         let mut x = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
-        for i in 0..spec.size {
-            x = x
-                .wrapping_mul(0x5851_F42D_4C95_7F2D)
-                .wrapping_add(0x1405_7B7E_F767_814F);
-            arena.push(((x >> 33) as u8) ^ (i as u8));
+        arena.resize(start + spec.size, 0);
+        let mut words = arena[start..].chunks_exact_mut(8);
+        for (j, dst) in (&mut words).enumerate() {
+            let mut word = 0u64;
+            for (k, &(mul, add)) in LCG_JUMP.iter().enumerate() {
+                let xk = mul.wrapping_mul(x).wrapping_add(add);
+                word |= ((xk >> 33) & 0xFF) << (8 * k);
+            }
+            let (mul, add) = LCG_JUMP[7];
+            x = mul.wrapping_mul(x).wrapping_add(add);
+            // Bytes 8j..8j+8 XOR their index: 8j has its low three bits
+            // clear, so `(8j + k) as u8` is `(8j) as u8 | k` byte-wise.
+            let index = 0x0706_0504_0302_0100 ^ (u64::from((8 * j) as u8) * 0x0101_0101_0101_0101);
+            dst.copy_from_slice(&(word ^ index).to_le_bytes());
+        }
+        let tail = spec.size / 8 * 8;
+        for (i, b) in words.into_remainder().iter_mut().enumerate() {
+            x = x.wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
+            *b = ((x >> 33) as u8) ^ ((tail + i) as u8);
         }
         (start, spec.size)
     }
 }
 
+/// The payload LCG step `x ← LCG_MUL·x + LCG_ADD`.
+const LCG_MUL: u64 = 0x5851_F42D_4C95_7F2D;
+const LCG_ADD: u64 = 0x1405_7B7E_F767_814F;
+
+/// Jump-ahead table: entry `k` is the `(mul, add)` pair of `k + 1`
+/// composed LCG steps, so `x_{n+k+1} = mul·x_n + add`.
+const LCG_JUMP: [(u64, u64); 8] = {
+    let mut t = [(0u64, 0u64); 8];
+    let (mut mul, mut add) = (LCG_MUL, LCG_ADD);
+    let mut k = 0;
+    while k < 8 {
+        t[k] = (mul, add);
+        mul = mul.wrapping_mul(LCG_MUL);
+        add = add.wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
+        k += 1;
+    }
+    t
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-byte LCG loop `payload_into` replaced, kept as its oracle.
+    fn payload_bytewise(spec: &FrameSpec) -> Vec<u8> {
+        let mut x = (u64::from(spec.flow) << 32) ^ u64::from(spec.flow_seq) ^ 0x9E37_79B9;
+        (0..spec.size)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(0x1405_7B7E_F767_814F);
+                ((x >> 33) as u8) ^ (i as u8)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The jump-ahead payload is byte-identical to the per-byte loop,
+        /// appended after whatever the arena already held.
+        #[test]
+        fn jump_ahead_payload_matches_bytewise_oracle(
+            flow: u32,
+            flow_seq: u32,
+            size in 0usize..=600,
+            prefix in 0usize..9,
+        ) {
+            let spec = FrameSpec { flow, flow_seq, size, emitted: 0, deadline: 0 };
+            let mut arena = vec![0xEE; prefix];
+            let span = Workload::payload_into(&spec, &mut arena);
+            prop_assert_eq!(span, (prefix, size));
+            prop_assert_eq!(&arena[prefix..], payload_bytewise(&spec).as_slice());
+            prop_assert!(arena[..prefix].iter().all(|&b| b == 0xEE));
+        }
+    }
+
+    #[test]
+    fn jump_ahead_payload_matches_oracle_at_every_size() {
+        for size in 0..=600 {
+            let spec = FrameSpec {
+                flow: 7,
+                flow_seq: 0xFFFF_FFFF,
+                size,
+                emitted: 0,
+                deadline: 0,
+            };
+            let mut buf = Vec::new();
+            Workload::fill_payload(&spec, &mut buf);
+            assert_eq!(buf, payload_bytewise(&spec), "size {size}");
+        }
+    }
 
     #[test]
     fn emission_is_deterministic_and_policy_blind() {

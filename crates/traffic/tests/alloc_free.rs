@@ -1,6 +1,8 @@
 //! Proof that the steady-state harness epoch loop is allocation-free: a
 //! counting global allocator wraps the system allocator and
-//! [`LinkHarness::step`] must not touch it once its buffers are warmed.
+//! [`LinkHarness::step`] must not touch it once its buffers are warmed,
+//! nor must the payload generator `Workload::payload_into` it runs per
+//! dequeued frame.
 //! This is the lint R4 harness for the traffic crate's registered hot
 //! functions; the link- and sim-side twins are
 //! `crates/link/tests/alloc_free.rs` and `crates/sim/tests/alloc_free.rs`.
@@ -8,7 +10,7 @@
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
-use mosaic_traffic::{LinkHarness, Policy, TrafficConfig};
+use mosaic_traffic::{FrameSpec, LinkHarness, Policy, TrafficConfig, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,4 +80,25 @@ fn harness_epoch_loop_does_not_allocate() {
     assert!(r.offered > 500, "offered only {}", r.offered);
     assert_eq!(r.delivered, r.offered - h.in_flight());
     assert!(h.conservation_holds());
+
+    // The payload generator on its own, into a warmed arena: whole words
+    // and byte tails alike.
+    let mut arena: Vec<u8> = Vec::with_capacity(8192);
+    let mut total = 0usize;
+    let n = allocs_during(|| {
+        for size in 0..64usize {
+            arena.clear();
+            let spec = FrameSpec {
+                flow: 3,
+                flow_seq: size as u32,
+                size: size * 13,
+                emitted: 0,
+                deadline: 0,
+            };
+            let (start, len) = Workload::payload_into(&spec, &mut arena);
+            total += start + len + usize::from(arena[start..].iter().any(|&b| b != 0));
+        }
+    });
+    assert_eq!(n, 0, "payload_into allocated {n} times");
+    assert!(total > 0);
 }

@@ -3,7 +3,7 @@
 //! convenience wrappers stay confined to known-good inputs.
 
 use mosaic_repro::fec::bch::Bch;
-use mosaic_repro::link::{Gearbox, LaneHealth, StripeConfig};
+use mosaic_repro::link::{Gearbox, LaneHealth, LaneStream, StripeConfig};
 use mosaic_repro::{FecChoice, MosaicConfig, MosaicError};
 use mosaic_units::{BitRate, Length};
 use proptest::prelude::*;
@@ -79,7 +79,9 @@ fn gearbox_construction_and_malformed_input_are_errors() {
     assert!(LaneHealth::try_new(0, 4).is_err());
 
     let mut rx = Gearbox::try_new(4, 6, 8).unwrap();
-    let err = rx.receive(&[vec![], vec![]]).unwrap_err();
+    let err = rx
+        .receive(&[LaneStream::new(), LaneStream::new()])
+        .unwrap_err();
     assert!(
         matches!(
             err,
