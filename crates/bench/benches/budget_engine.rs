@@ -1,8 +1,9 @@
 //! Criterion benches: link-budget evaluation and the design explorer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mosaic::budget::BudgetEngine;
+use mosaic::budget::{max_reach_with, BudgetEngine};
 use mosaic::config::MosaicConfig;
+use mosaic_fiber::crosstalk::Misalignment;
 use mosaic_units::{BitRate, Length};
 
 fn bench_budget(c: &mut Criterion) {
@@ -19,6 +20,34 @@ fn bench_budget(c: &mut Criterion) {
         b.iter(|| engine.all_channels(&cfg.led))
     });
     g.bench_function("full_evaluate_800g", |b| b.iter(|| cfg.evaluate()));
+
+    // The same link under 0.02 rad of rotation: the path terms vary with
+    // radius, so the engine budgets hundreds of channel classes, not five.
+    let mut rotated = cfg.clone();
+    rotated.misalignment = Misalignment {
+        lateral: Length::ZERO,
+        rotation_rad: 0.02,
+    };
+    let engine = BudgetEngine::new(&rotated);
+    g.bench_function("all_channels_428_misaligned", |b| {
+        b.iter(|| engine.all_channels(&rotated.led))
+    });
+
+    // The largest design query: 1,600 Gb/s over 0.25 Gb/s channels.
+    let widest = MosaicConfig::builder()
+        .bit_rate(BitRate::from_gbps(1600.0))
+        .channel_rate(BitRate::from_gbps(0.25))
+        .reach(Length::from_m(10.0))
+        .build()
+        .unwrap();
+    assert_eq!(widest.total_channels(), 6978);
+    g.bench_function("engine_build_6978ch", |b| {
+        b.iter(|| BudgetEngine::new(&widest))
+    });
+    let mut engine = BudgetEngine::new(&widest);
+    g.bench_function("max_reach_6978ch", |b| {
+        b.iter(|| max_reach_with(&mut engine, &widest))
+    });
     g.finish();
 }
 

@@ -13,6 +13,7 @@
 //! link's margin; the reach limit is where that margin crosses zero.
 
 use crate::config::MosaicConfig;
+use mosaic_fiber::crosstalk::XtStatics;
 use mosaic_fiber::path::{ChannelStatics, ImagingFiber};
 use mosaic_fiber::{ChannelPath, CoreLattice, SpanBudget};
 use mosaic_phy::ber::{OokReceiver, Pam4Receiver};
@@ -103,8 +104,12 @@ pub struct BudgetEngine {
     /// Span-level (length-dependent, channel-independent) path terms,
     /// refreshed by [`BudgetEngine::set_length`].
     span: SpanBudget,
-    /// Per-channel length-independent path terms, built once per engine.
-    statics: Vec<ChannelStatics>,
+    /// The distinct length-independent path terms among the channels
+    /// ("channel classes"), in first-occurrence channel order. Budgets are
+    /// pure functions of these terms, so each class is budgeted once.
+    classes: Vec<ChannelStatics>,
+    /// Each channel's index into `classes`.
+    class_of: Vec<u32>,
     /// ISI penalty at the current span length, `None` = eye closed.
     /// Channel-independent: every channel shares the LED pole and the
     /// span's modal bandwidth.
@@ -144,9 +149,7 @@ impl BudgetEngine {
         };
         let target_ber = cfg.fec.ber_threshold();
         let sensitivity = rx.sensitivity(target_ber);
-        let statics = (0..fiber.channels())
-            .map(|i| fiber.channel_statics(i))
-            .collect();
+        let (classes, class_of) = channel_classes(&fiber);
         let mut engine = BudgetEngine {
             fiber,
             drive,
@@ -167,7 +170,8 @@ impl BudgetEngine {
                 xt_unit: 0.0,
             },
             isi: None,
-            statics,
+            classes,
+            class_of,
         };
         engine.refresh_span();
         engine
@@ -229,12 +233,42 @@ impl BudgetEngine {
         self.sensitivity
     }
 
+    /// Number of distinct channel classes: channels whose
+    /// length-independent path terms are bit-identical share one class
+    /// and one budget.
+    pub fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
     /// Budget one channel.
     pub fn channel(&self, led: &mosaic_phy::microled::MicroLed, idx: usize) -> ChannelBudget {
-        let path: ChannelPath = self
-            .fiber
-            .channel_path_cached(&self.span, &self.statics[idx], idx);
+        let statics = &self.classes[self.class_of[idx] as usize];
+        self.budget(self.drive.launch_power(led), statics, idx)
+    }
+
+    /// Budget every channel: one budget per class, copied out to the
+    /// class's channels with their own index stamped on.
+    pub fn all_channels(&self, led: &mosaic_phy::microled::MicroLed) -> Vec<ChannelBudget> {
         let launch = self.drive.launch_power(led);
+        let per_class: Vec<ChannelBudget> = self
+            .classes
+            .iter()
+            .map(|statics| self.budget(launch, statics, 0))
+            .collect();
+        self.class_of
+            .iter()
+            .enumerate()
+            .map(|(idx, &class)| ChannelBudget {
+                channel: idx,
+                ..per_class[class as usize]
+            })
+            .collect()
+    }
+
+    /// The budget of a channel with length-independent terms `statics`,
+    /// labelled `idx`.
+    fn budget(&self, launch: Power, statics: &ChannelStatics, idx: usize) -> ChannelBudget {
+        let path: ChannelPath = self.fiber.channel_path_cached(&self.span, statics, idx);
         let received = launch.apply(path.loss);
         // ISI is channel-independent; see `refresh_span` for the eye rule.
         let isi = self.isi;
@@ -260,21 +294,12 @@ impl BudgetEngine {
         }
     }
 
-    /// Budget every channel.
-    pub fn all_channels(&self, led: &mosaic_phy::microled::MicroLed) -> Vec<ChannelBudget> {
-        (0..self.fiber.channels())
-            .map(|i| self.channel(led, i))
-            .collect()
-    }
-
-    /// The margin of one channel — [`BudgetEngine::channel`] minus the BER
+    /// The margin of one class — [`BudgetEngine::channel`] minus the BER
     /// evaluation, which the margin never depends on. The float sequence
     /// (path loss → penalties → ratio to sensitivity) is the same as in
     /// `channel`, so the value is bit-identical.
-    fn margin_of(&self, launch: Power, idx: usize) -> Option<Db> {
-        let path = self
-            .fiber
-            .channel_path_cached(&self.span, &self.statics[idx], idx);
+    fn margin_of(&self, launch: Power, statics: &ChannelStatics) -> Option<Db> {
+        let path = self.fiber.channel_path_cached(&self.span, statics, 0);
         let received = launch.apply(path.loss);
         match (self.isi, path.crosstalk_penalty) {
             (Some(isi_db), Some(xt_db)) => {
@@ -287,25 +312,63 @@ impl BudgetEngine {
 
     /// True if every channel closes with non-negative margin — the
     /// [`BudgetEngine::worst_margin`] `≥ 0` predicate with early exit on
-    /// the first failing channel, for bisection probes that only need the
+    /// the first failing class, for bisection probes that only need the
     /// verdict. Identical boolean: the minimum is ≥ 0 iff every margin is.
     pub fn all_feasible(&self, led: &mosaic_phy::microled::MicroLed) -> bool {
         let launch = self.drive.launch_power(led);
-        (0..self.fiber.channels())
-            .all(|i| matches!(self.margin_of(launch, i), Some(m) if m.as_db() >= 0.0))
+        self.classes
+            .iter()
+            .all(|s| matches!(self.margin_of(launch, s), Some(m) if m.as_db() >= 0.0))
     }
 
     /// The worst-channel margin, `None` if any channel is unusable.
     ///
-    /// Streams over channels without collecting budgets or computing BERs —
-    /// this runs once per [`max_reach`] bisection probe, so it must not
-    /// allocate.
+    /// Streams over the classes without collecting budgets or computing
+    /// BERs — this runs once per [`max_reach`] bisection probe, so it must
+    /// not allocate. Visiting each distinct value once, in first-occurrence
+    /// order, gives the per-channel fold's result: `min` and the `None`
+    /// short-circuit are unaffected by repeats of bit-identical inputs.
     pub fn worst_margin(&self, led: &mosaic_phy::microled::MicroLed) -> Option<Db> {
         let launch = self.drive.launch_power(led);
-        (0..self.fiber.channels())
-            .map(|i| self.margin_of(launch, i))
+        self.classes
+            .iter()
+            .map(|s| self.margin_of(launch, s))
             .try_fold(Db::new(f64::INFINITY), |acc, m| m.map(|m| acc.min(m)))
     }
+}
+
+/// Group the fiber's channels by the exact bit patterns of their
+/// length-independent path terms. Returns the distinct terms in
+/// first-occurrence order and each channel's index into them. A
+/// well-aligned lattice has a handful of classes (one per populated
+/// neighbor count); misalignment makes the terms radius-dependent and
+/// the class count approaches the channel count.
+fn channel_classes(fiber: &ImagingFiber) -> (Vec<ChannelStatics>, Vec<u32>) {
+    // Exhaustive destructuring: a new statics field fails to compile
+    // here instead of silently merging channels that differ in it.
+    let key = |s: &ChannelStatics| {
+        let ChannelStatics {
+            self_coupling,
+            xt: XtStatics { neighbors, spill },
+        } = *s;
+        (
+            self_coupling.as_db().to_bits(),
+            neighbors.to_bits(),
+            spill.to_bits(),
+        )
+    };
+    let mut index = std::collections::BTreeMap::new();
+    let mut classes = Vec::new();
+    let class_of = (0..fiber.channels())
+        .map(|i| {
+            let statics = fiber.channel_statics(i);
+            *index.entry(key(&statics)).or_insert_with(|| {
+                classes.push(statics);
+                (classes.len() - 1) as u32
+            })
+        })
+        .collect();
+    (classes, class_of)
 }
 
 /// The maximum span length at which `cfg` still closes with non-negative

@@ -100,21 +100,22 @@ pub struct CoreLattice {
 const NO_NEIGHBOR: u32 = u32::MAX;
 
 fn build_adjacency(cores: &[HexCoord]) -> Vec<[u32; 6]> {
-    // BTreeMap rather than HashMap (lint rule R1): lookup-only today, but
-    // deterministic order keeps any future iteration safe by default.
-    let index: std::collections::BTreeMap<HexCoord, u32> = cores
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u32))
-        .collect();
+    // Dense index grid over |q|, |r| ≤ k with k one ring beyond the
+    // outermost core, so every neighbor of a core lands in bounds: one
+    // array write per core and six reads, instead of a tree map.
+    let k = cores.iter().map(|c| c.ring()).max().unwrap_or(0) as i32 + 1;
+    let side = (2 * k + 1) as usize;
+    let cell = |c: HexCoord| (c.q + k) as usize * side + (c.r + k) as usize;
+    let mut grid = vec![NO_NEIGHBOR; side * side];
+    for (i, &c) in cores.iter().enumerate() {
+        grid[cell(c)] = i as u32;
+    }
     cores
         .iter()
         .map(|c| {
             let mut slots = [NO_NEIGHBOR; 6];
             for (slot, n) in slots.iter_mut().zip(c.neighbors()) {
-                if let Some(&i) = index.get(&n) {
-                    *slot = i;
-                }
+                *slot = grid[cell(n)];
             }
             slots
         })
@@ -262,6 +263,62 @@ mod tests {
         assert!(big.as_m() > small.as_m());
         // 127 cores = 6 rings → radius 6·pitch.
         assert!((big.as_um() - 120.0).abs() < 1e-6);
+    }
+
+    /// The tree-map adjacency the dense grid replaced: every neighbor
+    /// coordinate looked up in a `BTreeMap` from coordinate to index.
+    fn tree_adjacency(cores: &[HexCoord]) -> Vec<[u32; 6]> {
+        let index: std::collections::BTreeMap<HexCoord, u32> = cores
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, i as u32))
+            .collect();
+        cores
+            .iter()
+            .map(|c| {
+                let mut slots = [NO_NEIGHBOR; 6];
+                for (slot, n) in slots.iter_mut().zip(c.neighbors()) {
+                    if let Some(&i) = index.get(&n) {
+                        *slot = i;
+                    }
+                }
+                slots
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dense_adjacency_matches_tree_map_for_every_count_to_2000() {
+        // One spiral of 2000 cores holds every smaller spiral as a prefix.
+        let all = CoreLattice::spiral(2000, Length::from_um(20.0)).cores;
+        for n in 1..=all.len() {
+            let lat = CoreLattice::spiral(n, Length::from_um(20.0));
+            assert_eq!(lat.cores, all[..n]);
+            assert_eq!(lat.adjacency, tree_adjacency(&lat.cores), "count {n}");
+        }
+    }
+
+    #[test]
+    fn dense_adjacency_handles_arbitrary_core_sets() {
+        // Not spiral-shaped: a gap, an off-center core and a far ring.
+        let cores = [
+            HexCoord { q: 0, r: 0 },
+            HexCoord { q: 2, r: -1 },
+            HexCoord { q: 1, r: -1 },
+            HexCoord { q: -5, r: 5 },
+            HexCoord { q: -4, r: 5 },
+        ];
+        assert_eq!(build_adjacency(&cores), tree_adjacency(&cores));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dense_adjacency_matches_tree_map(n in 1usize..=10_000) {
+            let lat = CoreLattice::spiral(n, Length::from_um(20.0));
+            prop_assert_eq!(&lat.adjacency, &tree_adjacency(&lat.cores));
+        }
     }
 
     proptest! {

@@ -382,6 +382,24 @@ pub fn default_config() -> Config {
                 func: "payload_into",
                 harness: Some("crates/traffic/tests/alloc_free.rs"),
             },
+            // The reach-bisection kernels: every `max_reach` probe re-points
+            // the budget engine at a span length and walks its channel
+            // classes, about 48 times per design query.
+            RegistryFn {
+                file: "crates/core/src/budget.rs",
+                func: "set_length",
+                harness: Some("crates/core/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/core/src/budget.rs",
+                func: "all_feasible",
+                harness: Some("crates/core/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/core/src/budget.rs",
+                func: "worst_margin",
+                harness: Some("crates/core/tests/alloc_free.rs"),
+            },
         ],
         r5_crates: CrateSet::All,
         // rng.rs *defines* stream/substream/substream_indexed — the

@@ -609,6 +609,7 @@ mod tests {
 
     #[test]
     fn measured_counts_and_times() {
+        let _telemetry = crate::telemetry::test_guard::shared();
         let (v, stats) = measured(42, || 7u32);
         assert_eq!(v, 7);
         assert_eq!(stats.trials, 42);

@@ -476,6 +476,7 @@ mod tests {
 
     #[test]
     fn plan_streams_are_per_trial_and_match_direct_derivation() {
+        let _telemetry = crate::telemetry::test_guard::shared();
         let exec = Exec::with_threads(4);
         let draws = TrialPlan::new()
             .trials(16)
@@ -511,6 +512,7 @@ mod tests {
 
     #[test]
     fn plan_sum_matches_plan_run() {
+        let _telemetry = crate::telemetry::test_guard::shared();
         let seq: u64 = TrialPlan::new()
             .trials(40)
             .seed(7)
@@ -553,6 +555,7 @@ mod tests {
 
     #[test]
     fn plan_telemetry_is_label_opt_in() {
+        let _telemetry = crate::telemetry::test_guard::exclusive();
         let exec = Exec::with_threads(2);
         let label = "sched-telemetry-probe";
         let key = format!("trials.{label}");
@@ -589,6 +592,7 @@ mod tests {
 
     #[test]
     fn plan_resilient_retry_uses_fresh_substream_deterministically() {
+        let _telemetry = crate::telemetry::test_guard::shared();
         // Trial 7 panics on attempt 0 only; its retry must draw from the
         // "{label}#retry1" substream, identically at every thread count.
         let run_at = |threads: usize| {
@@ -619,6 +623,7 @@ mod tests {
 
     #[test]
     fn plan_resilient_budget_exhaustion_yields_none() {
+        let _telemetry = crate::telemetry::test_guard::shared();
         let run = TrialPlan::new()
             .trials(16)
             .seed(3)
@@ -659,6 +664,7 @@ mod tests {
 
         #[test]
         fn par_trials_matches_plan_run() {
+            let _telemetry = crate::telemetry::test_guard::shared();
             let exec = Exec::with_threads(4);
             let old = exec.par_trials(32, 11, "wrap-a", |_i, rng| rng.next_u64());
             let new = TrialPlan::new()
@@ -671,6 +677,7 @@ mod tests {
 
         #[test]
         fn par_trials_sum_matches_plan_sum() {
+            let _telemetry = crate::telemetry::test_guard::shared();
             for threads in [1, 4] {
                 let exec = Exec::with_threads(threads);
                 let old = exec.par_trials_sum(40, 7, "wrap-b", |_i, rng| rng.next_u64() >> 40);
@@ -703,6 +710,7 @@ mod tests {
 
         #[test]
         fn par_trials_resilient_no_panic_matches_par_trials() {
+            let _telemetry = crate::telemetry::test_guard::shared();
             // With nothing panicking, attempt 0 uses the exact par_trials
             // stream, so values match bit-for-bit and counters stay zero.
             let plain = Exec::with_threads(1).par_trials(32, 11, "res-a", |_i, rng| rng.next_u64());

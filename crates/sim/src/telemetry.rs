@@ -168,6 +168,8 @@ fn collector() -> &'static Mutex<Collector> {
 }
 
 fn lock() -> std::sync::MutexGuard<'static, Collector> {
+    #[cfg(test)]
+    test_guard::assert_held();
     // A poisoned collector only means a panicking thread held the lock;
     // the telemetry maps are still structurally sound.
     match collector().lock() {
@@ -322,21 +324,43 @@ pub fn take() -> Snapshot {
     std::mem::take(&mut g.snap)
 }
 
+/// The lock the crate's lib tests share the process-global collector
+/// under. A test that reads snapshot deltas, or clears the collector,
+/// holds it [`exclusive`](test_guard::exclusive)ly; a test that only
+/// writes telemetry holds it [`shared`](test_guard::shared), so writers
+/// still run in parallel with each other but never inside a reader's
+/// window. Every collector access checks that some test holds it, so a
+/// new telemetry-writing test cannot silently join the race.
+#[cfg(test)]
+pub(crate) mod test_guard {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+
+    static TEST_GUARD: RwLock<()> = RwLock::new(());
+
+    /// Sole access to the collector, for the length of the guard.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        TEST_GUARD.write().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Write access alongside other writers, excluding every reader.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        TEST_GUARD.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Panic unless a test holds the guard in either mode.
+    pub(crate) fn assert_held() {
+        assert!(
+            matches!(TEST_GUARD.try_write(), Err(TryLockError::WouldBlock)),
+            "a lib test touched the telemetry collector without holding \
+             telemetry::test_guard::shared() or exclusive()"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_guard::exclusive;
     use super::*;
-    use std::sync::MutexGuard;
-
-    // The collector is process-global; tests serialize on this lock so
-    // `cargo test`'s parallel runner can't interleave them.
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> MutexGuard<'static, ()> {
-        match TEST_GUARD.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
 
     #[test]
     fn counters_accumulate_and_reset() {
