@@ -150,12 +150,53 @@ impl DegradeConfig {
 struct ChannelCtl {
     state: CtlState,
     health: LaneHealth,
-    /// Epochs spent in the current state (reset on every transition).
-    dwell: usize,
+    /// First epoch the channel spends wholly in its current state: the
+    /// dwell at epoch `e` is `e + 1 - entered`. Set on every transition,
+    /// so a channel that does not change costs no per-epoch write.
+    entered: usize,
     /// Consecutive epochs below `clear_ber` while Suspect.
     clean_streak: usize,
     /// Hard-dead report pending for the next `step()`.
     pending_dead: bool,
+}
+
+/// A fixed-width set of channel indices, one bit per channel, sized at
+/// construction for any channel count.
+#[derive(Debug, Clone)]
+struct ChannelSet {
+    words: Vec<u64>,
+}
+
+impl ChannelSet {
+    fn with_channels(n: usize) -> Self {
+        ChannelSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Empty the set, then insert `0..n`.
+    fn reset_to_prefix(&mut self, n: usize) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let lo = w * 64;
+            *word = match n.saturating_sub(lo) {
+                0 => 0,
+                k if k >= 64 => u64::MAX,
+                k => (1 << k) - 1,
+            };
+        }
+    }
 }
 
 /// Per-epoch roll-up returned by [`DegradeController::step`].
@@ -174,11 +215,24 @@ pub struct EpochSummary {
 }
 
 /// The per-link degradation controller.
+///
+/// [`DegradeController::step`] is event-driven: it visits only the
+/// *hot* channels — those recorded, reported dead or swapped into
+/// service since the last step, plus every Suspect and Spared channel
+/// (their dwell and clean streak advance each epoch). Any other channel
+/// is Active with an unchanged monitor and service status, or Retired,
+/// so a full scan would fire nothing on it.
 #[derive(Debug, Clone)]
 pub struct DegradeController {
     cfg: DegradeConfig,
     map: LaneMap,
     channels: Vec<ChannelCtl>,
+    /// Channels `step` must visit.
+    hot: ChannelSet,
+    /// Mirror of `map.assignment()` membership.
+    in_service: ChannelSet,
+    /// Channels per state, kept current by every transition.
+    by_state: [usize; 5],
     transitions: Vec<Transition>,
     epoch: usize,
     provisioned_spares: usize,
@@ -201,15 +255,20 @@ impl DegradeController {
             channels.push(ChannelCtl {
                 state: CtlState::Active,
                 health: LaneHealth::try_new(cfg.window_bits, cfg.max_windows)?,
-                dwell: 0,
+                entered: 0,
                 clean_streak: 0,
                 pending_dead: false,
             });
         }
+        let mut in_service = ChannelSet::with_channels(physical);
+        in_service.reset_to_prefix(logical);
         Ok(DegradeController {
             cfg,
             map,
             channels,
+            hot: ChannelSet::with_channels(physical),
+            in_service,
+            by_state: [physical, 0, 0, 0, 0],
             transitions: Vec::new(),
             epoch: 0,
             provisioned_spares: physical - logical,
@@ -222,6 +281,7 @@ impl DegradeController {
     pub fn record(&mut self, physical: usize, bits: u64, errors: u64) {
         if let Some(ch) = self.channels.get_mut(physical) {
             ch.health.record(bits, errors);
+            self.hot.insert(physical);
         }
     }
 
@@ -230,187 +290,148 @@ impl DegradeController {
     pub fn mark_dead(&mut self, physical: usize) {
         if let Some(ch) = self.channels.get_mut(physical) {
             ch.pending_dead = true;
+            self.hot.insert(physical);
         }
     }
 
-    fn transition(
-        transitions: &mut Vec<Transition>,
-        epoch: usize,
-        channel: usize,
-        ch: &mut ChannelCtl,
-        to: CtlState,
-        cause: Cause,
-    ) {
-        transitions.push(Transition {
+    fn transition(&mut self, channel: usize, to: CtlState, cause: Cause) {
+        let epoch = self.epoch;
+        let ch = &mut self.channels[channel];
+        self.transitions.push(Transition {
             epoch,
             channel,
             from: ch.state,
             to,
             cause,
         });
+        self.by_state[ch.state as usize] -= 1;
+        self.by_state[to as usize] += 1;
         ch.state = to;
-        ch.dwell = 0;
+        ch.entered = epoch + 1;
         ch.clean_streak = 0;
     }
 
-    /// Process one controller epoch: evaluate every channel's monitor,
-    /// fire transitions, activate spares / shed lanes for quarantined
-    /// channels, and return the epoch roll-up.
+    /// Process one controller epoch: evaluate every hot channel's
+    /// monitor in ascending index order, fire transitions, activate
+    /// spares / shed lanes for quarantined channels, and return the
+    /// epoch roll-up.
     pub fn step(&mut self) -> EpochSummary {
         let epoch = self.epoch;
         let t0 = self.transitions.len();
-        for idx in 0..self.channels.len() {
-            let in_service = self.map.assignment().contains(&idx);
-            let ch = &mut self.channels[idx];
-            ch.dwell += 1;
-            let dead = std::mem::take(&mut ch.pending_dead);
-            match ch.state {
-                CtlState::Retired | CtlState::Quarantined => {
-                    // Retired is terminal; Quarantined resolves below in
-                    // the same step it was entered, so neither re-evaluates
-                    // monitor state here.
-                }
-                CtlState::Spared => {
-                    if ch.dwell >= self.cfg.spared_dwell_limit {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Retired,
-                            Cause::SparedAgedOut,
-                        );
-                    }
-                }
-                CtlState::Active => {
-                    if dead {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Quarantined,
-                            Cause::ExternalDead,
-                        );
-                    } else if in_service && ch.health.degraded(self.cfg.quarantine_ber) {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Quarantined,
-                            Cause::BerAboveQuarantine,
-                        );
-                    } else if in_service && ch.health.degraded(self.cfg.suspect_ber) {
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Suspect,
-                            Cause::BerAboveSuspect,
-                        );
-                    }
-                }
-                CtlState::Suspect => {
-                    let ber = ch.health.ber().unwrap_or(0.0);
-                    if dead || ch.health.degraded(self.cfg.quarantine_ber) {
-                        let cause = if dead {
-                            Cause::ExternalDead
-                        } else {
-                            Cause::BerAboveQuarantine
-                        };
-                        Self::transition(
-                            &mut self.transitions,
-                            epoch,
-                            idx,
-                            ch,
-                            CtlState::Quarantined,
-                            cause,
-                        );
-                    } else if ber < self.cfg.clear_ber {
-                        ch.clean_streak += 1;
-                        if ch.clean_streak >= self.cfg.clear_epochs {
-                            Self::transition(
-                                &mut self.transitions,
-                                epoch,
-                                idx,
-                                ch,
-                                CtlState::Active,
-                                Cause::BerCleared,
-                            );
-                        }
-                    } else {
-                        ch.clean_streak = 0;
-                        if ch.dwell >= self.cfg.suspect_dwell_limit {
-                            Self::transition(
-                                &mut self.transitions,
-                                epoch,
-                                idx,
-                                ch,
-                                CtlState::Quarantined,
-                                Cause::SuspectTimeout,
-                            );
-                        }
-                    }
+        let mut quarantined = false;
+        for w in 0..self.hot.words.len() {
+            let mut bits = self.hot.words[w];
+            let mut keep = bits;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let idx = w * 64 + bit.trailing_zeros() as usize;
+                match self.evaluate(idx) {
+                    CtlState::Suspect | CtlState::Spared => {}
+                    CtlState::Quarantined => quarantined = true,
+                    CtlState::Active | CtlState::Retired => keep ^= bit,
                 }
             }
+            self.hot.words[w] = keep;
         }
-        // Resolve quarantines: activate a spare or shed the lane.
-        for idx in 0..self.channels.len() {
-            if self.channels[idx].state != CtlState::Quarantined {
-                continue;
-            }
-            match self.map.fail_channel(idx, FailureKind::Degraded) {
-                Ok(Some(_lane)) => {
-                    self.spares_activated += 1;
-                    let ch = &mut self.channels[idx];
-                    Self::transition(
-                        &mut self.transitions,
-                        epoch,
-                        idx,
-                        ch,
-                        CtlState::Spared,
-                        Cause::SpareActivated,
-                    );
-                }
-                Ok(None) => {
-                    // Was an idle spare (or already retired): no remap
-                    // happened, the channel just leaves the pool.
-                    let ch = &mut self.channels[idx];
-                    Self::transition(
-                        &mut self.transitions,
-                        epoch,
-                        idx,
-                        ch,
-                        CtlState::Retired,
-                        Cause::ExternalDead,
-                    );
-                }
-                Err(_no_spares) => {
-                    self.lost_lanes += 1;
-                    let ch = &mut self.channels[idx];
-                    Self::transition(
-                        &mut self.transitions,
-                        epoch,
-                        idx,
-                        ch,
-                        CtlState::Retired,
-                        Cause::SparesExhausted,
-                    );
-                }
-            }
+        if quarantined {
+            self.resolve_quarantines();
         }
         self.epoch += 1;
-        let mut by_state = [0usize; 5];
-        for ch in &self.channels {
-            by_state[ch.state as usize] += 1;
-        }
         EpochSummary {
             epoch,
             transitions: self.transitions.len() - t0,
-            by_state,
+            by_state: self.by_state,
             rate_fraction: self.rate_fraction(),
+        }
+    }
+
+    /// Run one channel's state machine for this epoch and return the
+    /// state it ends in. Quarantined is resolved by the caller.
+    fn evaluate(&mut self, idx: usize) -> CtlState {
+        let cfg = self.cfg;
+        let in_service = self.in_service.contains(idx);
+        let ch = &mut self.channels[idx];
+        let dwell = self.epoch + 1 - ch.entered;
+        let dead = std::mem::take(&mut ch.pending_dead);
+        let fire = match ch.state {
+            // Retired is terminal; Quarantined resolves in the same step
+            // it was entered, so neither re-evaluates monitor state here.
+            CtlState::Retired | CtlState::Quarantined => None,
+            CtlState::Spared => (dwell >= cfg.spared_dwell_limit)
+                .then_some((CtlState::Retired, Cause::SparedAgedOut)),
+            CtlState::Active => {
+                if dead {
+                    Some((CtlState::Quarantined, Cause::ExternalDead))
+                } else if in_service && ch.health.degraded(cfg.quarantine_ber) {
+                    Some((CtlState::Quarantined, Cause::BerAboveQuarantine))
+                } else if in_service && ch.health.degraded(cfg.suspect_ber) {
+                    Some((CtlState::Suspect, Cause::BerAboveSuspect))
+                } else {
+                    None
+                }
+            }
+            CtlState::Suspect => {
+                let ber = ch.health.ber().unwrap_or(0.0);
+                if dead {
+                    Some((CtlState::Quarantined, Cause::ExternalDead))
+                } else if ch.health.degraded(cfg.quarantine_ber) {
+                    Some((CtlState::Quarantined, Cause::BerAboveQuarantine))
+                } else if ber < cfg.clear_ber {
+                    ch.clean_streak += 1;
+                    (ch.clean_streak >= cfg.clear_epochs)
+                        .then_some((CtlState::Active, Cause::BerCleared))
+                } else {
+                    ch.clean_streak = 0;
+                    (dwell >= cfg.suspect_dwell_limit)
+                        .then_some((CtlState::Quarantined, Cause::SuspectTimeout))
+                }
+            }
+        };
+        if let Some((to, cause)) = fire {
+            self.transition(idx, to, cause);
+        }
+        self.channels[idx].state
+    }
+
+    /// Resolve this epoch's quarantines in ascending channel order:
+    /// activate a spare or shed the lane. Only hot channels can be
+    /// Quarantined.
+    fn resolve_quarantines(&mut self) {
+        for w in 0..self.hot.words.len() {
+            let mut bits = self.hot.words[w];
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let idx = w * 64 + bit.trailing_zeros() as usize;
+                if self.channels[idx].state != CtlState::Quarantined {
+                    continue;
+                }
+                match self.map.fail_channel(idx, FailureKind::Degraded) {
+                    Ok(Some(lane)) => {
+                        self.spares_activated += 1;
+                        // The spare is now in service: its monitor, fed
+                        // while it idled in the pool, counts from the
+                        // next step on.
+                        let spare = self.map.physical_for(lane);
+                        self.in_service.remove(idx);
+                        self.in_service.insert(spare);
+                        self.hot.insert(spare);
+                        self.transition(idx, CtlState::Spared, Cause::SpareActivated);
+                    }
+                    Ok(None) => {
+                        // Was an idle spare (or already retired): no remap
+                        // happened, the channel just leaves the pool.
+                        self.hot.remove(idx);
+                        self.transition(idx, CtlState::Retired, Cause::ExternalDead);
+                    }
+                    Err(_no_spares) => {
+                        self.lost_lanes += 1;
+                        self.hot.remove(idx);
+                        self.transition(idx, CtlState::Retired, Cause::SparesExhausted);
+                    }
+                }
+            }
         }
     }
 
@@ -425,11 +446,14 @@ impl DegradeController {
         for ch in &mut self.channels {
             ch.state = CtlState::Active;
             ch.health.reset();
-            ch.dwell = 0;
+            ch.entered = 0;
             ch.clean_streak = 0;
             ch.pending_dead = false;
         }
         self.map.reset();
+        self.hot.reset_to_prefix(0);
+        self.in_service.reset_to_prefix(self.map.logical_lanes());
+        self.by_state = [self.channels.len(), 0, 0, 0, 0];
         self.transitions.clear();
         self.epoch = 0;
         self.spares_activated = 0;
@@ -443,6 +467,11 @@ impl DegradeController {
             .get(physical)
             .map(|c| c.state)
             .unwrap_or(CtlState::Retired)
+    }
+
+    /// Number of channels currently in `state`.
+    pub fn channels_in(&self, state: CtlState) -> usize {
+        self.by_state[state as usize]
     }
 
     /// The live logical-lane → physical-channel map.
@@ -498,6 +527,228 @@ pub fn state_tag(s: CtlState) -> &'static str {
         CtlState::Quarantined => "quarantined",
         CtlState::Spared => "spared",
         CtlState::Retired => "retired",
+    }
+}
+
+/// The full-scan controller the event-driven [`DegradeController::step`]
+/// replaced, kept verbatim as the differential oracle: every epoch it
+/// bumps every channel's dwell, rescans every channel against the lane
+/// map and recounts the states.
+#[cfg(test)]
+mod reference {
+    use super::{Cause, CtlState, DegradeConfig, EpochSummary, Transition};
+    use crate::lanes::{FailureKind, LaneHealth, LaneMap};
+
+    #[derive(Debug, Clone)]
+    struct ChannelCtl {
+        state: CtlState,
+        health: LaneHealth,
+        dwell: usize,
+        clean_streak: usize,
+        pending_dead: bool,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct FullScanController {
+        cfg: DegradeConfig,
+        map: LaneMap,
+        channels: Vec<ChannelCtl>,
+        transitions: Vec<Transition>,
+        epoch: usize,
+        spares_activated: usize,
+        lost_lanes: usize,
+    }
+
+    impl FullScanController {
+        pub fn try_new(
+            logical: usize,
+            physical: usize,
+            cfg: DegradeConfig,
+        ) -> mosaic_units::Result<Self> {
+            cfg.validate()?;
+            let map = LaneMap::try_new(logical, physical)?;
+            let mut channels = Vec::with_capacity(physical);
+            for _ in 0..physical {
+                channels.push(ChannelCtl {
+                    state: CtlState::Active,
+                    health: LaneHealth::try_new(cfg.window_bits, cfg.max_windows)?,
+                    dwell: 0,
+                    clean_streak: 0,
+                    pending_dead: false,
+                });
+            }
+            Ok(FullScanController {
+                cfg,
+                map,
+                channels,
+                transitions: Vec::new(),
+                epoch: 0,
+                spares_activated: 0,
+                lost_lanes: 0,
+            })
+        }
+
+        pub fn record(&mut self, physical: usize, bits: u64, errors: u64) {
+            if let Some(ch) = self.channels.get_mut(physical) {
+                ch.health.record(bits, errors);
+            }
+        }
+
+        pub fn mark_dead(&mut self, physical: usize) {
+            if let Some(ch) = self.channels.get_mut(physical) {
+                ch.pending_dead = true;
+            }
+        }
+
+        fn transition(
+            transitions: &mut Vec<Transition>,
+            epoch: usize,
+            channel: usize,
+            ch: &mut ChannelCtl,
+            to: CtlState,
+            cause: Cause,
+        ) {
+            transitions.push(Transition {
+                epoch,
+                channel,
+                from: ch.state,
+                to,
+                cause,
+            });
+            ch.state = to;
+            ch.dwell = 0;
+            ch.clean_streak = 0;
+        }
+
+        pub fn step(&mut self) -> EpochSummary {
+            let epoch = self.epoch;
+            let t0 = self.transitions.len();
+            for idx in 0..self.channels.len() {
+                let in_service = self.map.assignment().contains(&idx);
+                let ch = &mut self.channels[idx];
+                ch.dwell += 1;
+                let dead = std::mem::take(&mut ch.pending_dead);
+                let t = &mut self.transitions;
+                match ch.state {
+                    CtlState::Retired | CtlState::Quarantined => {}
+                    CtlState::Spared => {
+                        if ch.dwell >= self.cfg.spared_dwell_limit {
+                            let to = CtlState::Retired;
+                            Self::transition(t, epoch, idx, ch, to, Cause::SparedAgedOut);
+                        }
+                    }
+                    CtlState::Active => {
+                        let q = CtlState::Quarantined;
+                        if dead {
+                            Self::transition(t, epoch, idx, ch, q, Cause::ExternalDead);
+                        } else if in_service && ch.health.degraded(self.cfg.quarantine_ber) {
+                            Self::transition(t, epoch, idx, ch, q, Cause::BerAboveQuarantine);
+                        } else if in_service && ch.health.degraded(self.cfg.suspect_ber) {
+                            let to = CtlState::Suspect;
+                            Self::transition(t, epoch, idx, ch, to, Cause::BerAboveSuspect);
+                        }
+                    }
+                    CtlState::Suspect => {
+                        let ber = ch.health.ber().unwrap_or(0.0);
+                        if dead || ch.health.degraded(self.cfg.quarantine_ber) {
+                            let cause = if dead {
+                                Cause::ExternalDead
+                            } else {
+                                Cause::BerAboveQuarantine
+                            };
+                            Self::transition(t, epoch, idx, ch, CtlState::Quarantined, cause);
+                        } else if ber < self.cfg.clear_ber {
+                            ch.clean_streak += 1;
+                            if ch.clean_streak >= self.cfg.clear_epochs {
+                                let to = CtlState::Active;
+                                Self::transition(t, epoch, idx, ch, to, Cause::BerCleared);
+                            }
+                        } else {
+                            ch.clean_streak = 0;
+                            if ch.dwell >= self.cfg.suspect_dwell_limit {
+                                let to = CtlState::Quarantined;
+                                Self::transition(t, epoch, idx, ch, to, Cause::SuspectTimeout);
+                            }
+                        }
+                    }
+                }
+            }
+            for idx in 0..self.channels.len() {
+                if self.channels[idx].state != CtlState::Quarantined {
+                    continue;
+                }
+                let (to, cause) = match self.map.fail_channel(idx, FailureKind::Degraded) {
+                    Ok(Some(_lane)) => {
+                        self.spares_activated += 1;
+                        (CtlState::Spared, Cause::SpareActivated)
+                    }
+                    Ok(None) => (CtlState::Retired, Cause::ExternalDead),
+                    Err(_no_spares) => {
+                        self.lost_lanes += 1;
+                        (CtlState::Retired, Cause::SparesExhausted)
+                    }
+                };
+                let ch = &mut self.channels[idx];
+                Self::transition(&mut self.transitions, epoch, idx, ch, to, cause);
+            }
+            self.epoch += 1;
+            let mut by_state = [0usize; 5];
+            for ch in &self.channels {
+                by_state[ch.state as usize] += 1;
+            }
+            EpochSummary {
+                epoch,
+                transitions: self.transitions.len() - t0,
+                by_state,
+                rate_fraction: self.rate_fraction(),
+            }
+        }
+
+        pub fn reset(&mut self) {
+            for ch in &mut self.channels {
+                ch.state = CtlState::Active;
+                ch.health.reset();
+                ch.dwell = 0;
+                ch.clean_streak = 0;
+                ch.pending_dead = false;
+            }
+            self.map.reset();
+            self.transitions.clear();
+            self.epoch = 0;
+            self.spares_activated = 0;
+            self.lost_lanes = 0;
+        }
+
+        pub fn state(&self, physical: usize) -> CtlState {
+            self.channels
+                .get(physical)
+                .map(|c| c.state)
+                .unwrap_or(CtlState::Retired)
+        }
+
+        pub fn lane_map(&self) -> &LaneMap {
+            &self.map
+        }
+
+        pub fn spares_activated(&self) -> usize {
+            self.spares_activated
+        }
+
+        pub fn lost_lanes(&self) -> usize {
+            self.lost_lanes
+        }
+
+        pub fn rate_fraction(&self) -> f64 {
+            let logical = self.map.logical_lanes();
+            if logical == 0 {
+                return 0.0;
+            }
+            (logical - self.lost_lanes.min(logical)) as f64 / logical as f64
+        }
+
+        pub fn transitions(&self) -> &[Transition] {
+            &self.transitions
+        }
     }
 }
 
@@ -649,6 +900,127 @@ mod tests {
         let b = again.step();
         assert_eq!(a, b);
         assert_eq!(ctl.transitions(), again.transitions());
+    }
+
+    #[test]
+    fn state_counts_track_transitions() {
+        let mut ctl = DegradeController::try_new(70, 100, quick_cfg()).unwrap();
+        assert_eq!(ctl.channels_in(CtlState::Active), 100);
+        ctl.mark_dead(3);
+        ctl.mark_dead(80);
+        ctl.record(65, 2000, 20);
+        ctl.step();
+        // 3 swapped for a spare, spare 80 died in the pool, 65 is Suspect.
+        assert_eq!(ctl.channels_in(CtlState::Spared), 1);
+        assert_eq!(ctl.channels_in(CtlState::Retired), 1);
+        assert_eq!(ctl.channels_in(CtlState::Suspect), 1);
+        assert_eq!(ctl.channels_in(CtlState::Active), 97);
+        assert_eq!(ctl.state(65), CtlState::Suspect);
+        ctl.reset();
+        assert_eq!(ctl.channels_in(CtlState::Active), 100);
+    }
+
+    #[test]
+    fn swapped_in_spare_is_judged_on_its_pool_history() {
+        // Spare 5 degrades while idle: out of service, so it stays Active.
+        let mut ctl = DegradeController::try_new(4, 6, quick_cfg()).unwrap();
+        ctl.record(5, 2000, 20);
+        ctl.step();
+        assert_eq!(ctl.state(5), CtlState::Active);
+        // Channel 0 dies and spare 5 takes its lane; with no new record,
+        // the next step still sees 5's bad window and suspects it.
+        ctl.mark_dead(0);
+        ctl.step();
+        assert_eq!(ctl.lane_map().physical_for(0), 5);
+        ctl.step();
+        assert_eq!(ctl.state(5), CtlState::Suspect);
+    }
+
+    fn random_cfg(window_bits: u64, max_windows: usize, knobs: u64) -> DegradeConfig {
+        let unit = |shift: u32| ((knobs >> shift) & 0xFF) as f64 / 255.0;
+        let clear_ber = 10f64.powf(-1.0 - 5.0 * unit(0));
+        let suspect_ber = clear_ber * 10f64.powf(0.05 + 2.0 * unit(8));
+        DegradeConfig {
+            window_bits,
+            max_windows,
+            suspect_ber,
+            clear_ber,
+            quarantine_ber: suspect_ber * 10f64.powf(2.0 * unit(16)),
+            suspect_dwell_limit: 1 + ((knobs >> 24) % 10) as usize,
+            clear_epochs: 1 + ((knobs >> 32) % 6) as usize,
+            spared_dwell_limit: ((knobs >> 40) % 9) as usize,
+        }
+    }
+
+    /// Errors for `bits` at a BER of about `2^-k` (none for `k >= 20`).
+    fn errors_at(bits: u64, k: u64) -> u64 {
+        if k >= 20 {
+            0
+        } else {
+            bits >> k
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The event-driven step is the full scan, epoch for epoch: same
+        /// summaries, transition log, states, lane map and counters over
+        /// random geometries (past one bitset word), policies and
+        /// record / mark_dead / step / reset scripts, out-of-range
+        /// channels included.
+        #[test]
+        fn event_driven_step_matches_full_scan(
+            physical in 1usize..131,
+            spare_seed in 0usize..1000,
+            window_bits in 1u64..3000,
+            max_windows in 1usize..5,
+            knobs: u64,
+            // Packed op: low 6 bits = kind, then channel, bits, BER shift.
+            script in proptest::collection::vec(any::<u64>(), 1..300),
+        ) {
+            let logical = physical - spare_seed % (physical.min(12) + 1);
+            let cfg = random_cfg(window_bits, max_windows, knobs);
+            prop_assert!(cfg.validate().is_ok());
+            let mut ctl = DegradeController::try_new(logical, physical, cfg).unwrap();
+            let mut oracle = reference::FullScanController::try_new(logical, physical, cfg).unwrap();
+            for word in script {
+                let ch = ((word >> 8) & 0xFF) as usize % (physical + 3);
+                let bits = (word >> 16) & 0xFFF;
+                let k = (word >> 28) & 31;
+                match word & 63 {
+                    0..=23 => {
+                        let errors = errors_at(bits, k);
+                        ctl.record(ch, bits, errors);
+                        oracle.record(ch, bits, errors);
+                    }
+                    24..=27 => {
+                        // Every channel reports, each at its own BER.
+                        for c in 0..physical {
+                            let errors = errors_at(bits, (k + c as u64 * 7) % 32);
+                            ctl.record(c, bits, errors);
+                            oracle.record(c, bits, errors);
+                        }
+                    }
+                    28..=30 => {
+                        ctl.mark_dead(ch);
+                        oracle.mark_dead(ch);
+                    }
+                    31 => {
+                        ctl.reset();
+                        oracle.reset();
+                    }
+                    _ => prop_assert_eq!(ctl.step(), oracle.step()),
+                }
+                prop_assert_eq!(ctl.transitions(), oracle.transitions());
+                for c in 0..physical + 2 {
+                    prop_assert_eq!(ctl.state(c), oracle.state(c), "channel {}", c);
+                }
+                prop_assert_eq!(ctl.lane_map(), oracle.lane_map());
+                prop_assert_eq!(ctl.spares_activated(), oracle.spares_activated());
+                prop_assert_eq!(ctl.lost_lanes(), oracle.lost_lanes());
+                prop_assert_eq!(ctl.rate_fraction().to_bits(), oracle.rate_fraction().to_bits());
+            }
+        }
     }
 
     proptest! {

@@ -320,6 +320,24 @@ pub fn default_config() -> Config {
                 func: "replay_fault_window",
                 harness: Some("crates/netsim/tests/alloc_free.rs"),
             },
+            // The degrade-controller primitives under the replay, which
+            // steps about 11.5M epochs per fleet pass: the event-driven
+            // step and the two calls that mark channels hot for it.
+            RegistryFn {
+                file: "crates/link/src/degrade.rs",
+                func: "step",
+                harness: Some("crates/netsim/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/degrade.rs",
+                func: "record",
+                harness: Some("crates/netsim/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/link/src/degrade.rs",
+                func: "mark_dead",
+                harness: Some("crates/netsim/tests/alloc_free.rs"),
+            },
             // The gearbox scratch-reuse pair: every traffic epoch pushes a
             // frame batch through these, so a per-frame allocation would
             // show up once per epoch per run across the whole F19 sweep.

@@ -547,14 +547,56 @@ pub fn drain_hard_failures(
     }
 }
 
+/// Faults whose impact [`replay_fault_window`] caches per window; any
+/// further live faults in the same window are evaluated per epoch.
+const WINDOW_FAULTS: usize = 16;
+
+/// One fault's impact on its channel while active, computed once per
+/// replay window rather than once per active epoch.
+#[derive(Debug, Clone, Copy)]
+struct LiveFault<'e> {
+    ev: &'e FaultEvent,
+    /// Reports the channel hard-dead instead of recording errors.
+    dead: bool,
+    /// Bit errors recorded per active epoch (0: the fault only touches
+    /// the channel, e.g. pure skew).
+    errors: u64,
+}
+
+impl<'e> LiveFault<'e> {
+    fn of(ev: &'e FaultEvent, bits_per_epoch: u64) -> Self {
+        let eff = ev.effect();
+        let errors = if !eff.dead && eff.extra_ber > 0.0 {
+            (eff.extra_ber.min(0.5) * bits_per_epoch as f64).round() as u64
+        } else {
+            0
+        };
+        LiveFault {
+            ev,
+            dead: eff.dead,
+            errors,
+        }
+    }
+}
+
+/// Can `ev` be active at some epoch of `from..=to`? A superset test:
+/// duty cycles are resolved per epoch by [`FaultEvent::active_at`].
+fn may_overlap(ev: &FaultEvent, from: usize, to: usize) -> bool {
+    ev.start <= to
+        && match ev.persistence {
+            Persistence::Permanent => true,
+            _ => ev.start.saturating_add(ev.duration) > from,
+        }
+}
+
 /// Replay controller epochs `from_epoch..=to_epoch` of one link against
 /// its campaign: active faults feed errors (or hard-dead reports) to
 /// their monitor groups, quiet Suspect groups receive clean bits so
 /// hysteresis can clear them, and the controller steps once per epoch.
 /// Events starting before `rebuild_floor` belong to hardware that has
-/// since been replaced and are skipped. Allocation-free on a warmed
-/// controller (lint rule R4): the per-epoch active set is a u64 bitmask
-/// (`groups <= 64`, enforced by config validation).
+/// since been replaced and are skipped. Each fault's impact is computed
+/// once per window, into a fixed-size stack cache. Allocation-free on a
+/// warmed controller (lint rule R4), at any controller width.
 pub fn replay_fault_window(
     ctl: &mut DegradeController,
     events: &[FaultEvent],
@@ -564,29 +606,44 @@ pub fn replay_fault_window(
     bits_per_epoch: u64,
 ) {
     let physical = ctl.lane_map().logical_lanes() + ctl.provisioned_spares();
+    let mut cache = [None; WINDOW_FAULTS];
+    let mut cached = 0;
+    let mut overflow_from = events.len();
+    for (i, ev) in events.iter().enumerate() {
+        if ev.start < rebuild_floor || !may_overlap(ev, from_epoch, to_epoch) {
+            continue;
+        }
+        if cached == WINDOW_FAULTS {
+            overflow_from = i;
+            break;
+        }
+        cache[cached] = Some(LiveFault::of(ev, bits_per_epoch));
+        cached += 1;
+    }
+    let (cache, overflow) = (&cache[..cached], &events[overflow_from..]);
+    // The faults active at `epoch`, in campaign order.
+    let live_at = |epoch: usize| {
+        let hits = cache.iter().flatten().copied();
+        let rest = overflow
+            .iter()
+            .filter(move |ev| ev.start >= rebuild_floor && ev.active_at(epoch))
+            .map(move |ev| LiveFault::of(ev, bits_per_epoch));
+        hits.filter(move |f| f.ev.active_at(epoch)).chain(rest)
+    };
     for epoch in from_epoch..=to_epoch {
-        let mut touched: u64 = 0;
-        for ev in events {
-            if ev.start < rebuild_floor || !ev.active_at(epoch) {
-                continue;
-            }
-            touched |= 1u64 << (ev.channel as u64 & 63);
-            let eff = ev.effect();
-            if eff.dead {
-                ctl.mark_dead(ev.channel);
-            } else if eff.extra_ber > 0.0 {
-                let errors = (eff.extra_ber.min(0.5) * bits_per_epoch as f64).round() as u64;
-                if errors > 0 {
-                    ctl.record(ev.channel, bits_per_epoch, errors);
-                }
+        for f in live_at(epoch) {
+            if f.dead {
+                ctl.mark_dead(f.ev.channel);
+            } else if f.errors > 0 {
+                ctl.record(f.ev.channel, bits_per_epoch, f.errors);
             }
         }
-        for g in 0..physical {
-            if touched & (1u64 << (g as u64 & 63)) != 0 {
-                continue;
-            }
-            if ctl.state(g) == CtlState::Suspect {
-                ctl.record(g, bits_per_epoch, 0);
+        if ctl.channels_in(CtlState::Suspect) > 0 {
+            for g in 0..physical {
+                // A struck channel gets its fault's bits, not clean ones.
+                if ctl.state(g) == CtlState::Suspect && !live_at(epoch).any(|f| f.ev.channel == g) {
+                    ctl.record(g, bits_per_epoch, 0);
+                }
             }
         }
         ctl.step();
@@ -1002,7 +1059,114 @@ pub fn simulate(cfg: &HyperFleetConfig, seed: u64, exec: &Exec) -> Result<HyperF
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_sim::faults::FaultKind;
     use mosaic_units::{BitRate, Duration, Fit};
+
+    /// The per-epoch replay the window cache replaced: every active
+    /// epoch re-derives each fault's effect, and a quiet Suspect channel
+    /// is found by scanning the active faults directly.
+    fn replay_per_epoch(
+        ctl: &mut DegradeController,
+        events: &[FaultEvent],
+        from_epoch: usize,
+        to_epoch: usize,
+        rebuild_floor: usize,
+    ) {
+        let physical = ctl.lane_map().logical_lanes() + ctl.provisioned_spares();
+        let active = |ev: &FaultEvent, epoch| ev.start >= rebuild_floor && ev.active_at(epoch);
+        for epoch in from_epoch..=to_epoch {
+            for ev in events.iter().filter(|ev| active(ev, epoch)) {
+                let eff = ev.effect();
+                if eff.dead {
+                    ctl.mark_dead(ev.channel);
+                } else if eff.extra_ber > 0.0 {
+                    let errors = (eff.extra_ber.min(0.5) * BITS_PER_EPOCH as f64).round() as u64;
+                    if errors > 0 {
+                        ctl.record(ev.channel, BITS_PER_EPOCH, errors);
+                    }
+                }
+            }
+            for g in 0..physical {
+                let struck = events.iter().any(|ev| ev.channel == g && active(ev, epoch));
+                if !struck && ctl.state(g) == CtlState::Suspect {
+                    ctl.record(g, BITS_PER_EPOCH, 0);
+                }
+            }
+            ctl.step();
+        }
+    }
+
+    #[test]
+    fn window_cache_replays_like_the_per_epoch_loop() {
+        // Dense campaigns put more than WINDOW_FAULTS faults in most
+        // windows, so the overflow path runs too; widths straddle 64.
+        for (seed, physical) in [(1u64, 12usize), (2, 64), (3, 65), (4, 100), (5, 130)] {
+            let logical = physical - physical / 6;
+            let campaign = FaultCampaign::generate(
+                CampaignConfig {
+                    channels: physical,
+                    epochs: 600,
+                    faults_per_kilo_epoch: 20.0,
+                    max_duration: 40,
+                    permanent_fraction: 0.05,
+                },
+                seed,
+            );
+            let events = campaign.events();
+            let fresh = DegradeController::try_new(logical, physical, degrade_policy()).unwrap();
+            let (mut fast, mut slow) = (fresh.clone(), fresh);
+            let mut overflowed = false;
+            // One long window, then short ones whose edges land on fault
+            // starts and ends, with the rebuild floor trailing behind.
+            let mut windows = vec![(0, 149, 0)];
+            let mut from = 150;
+            while from < 600 {
+                let to = (from + from % 17).min(599);
+                windows.push((from, to, (from / 200) * 200));
+                from = to + 1;
+            }
+            for (from, to, floor) in windows {
+                let live = events
+                    .iter()
+                    .filter(|ev| ev.start >= floor && may_overlap(ev, from, to))
+                    .count();
+                overflowed |= live > WINDOW_FAULTS;
+                replay_fault_window(&mut fast, events, from, to, floor, BITS_PER_EPOCH);
+                replay_per_epoch(&mut slow, events, from, to, floor);
+                // The whole controller, monitors and hot set included.
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "width {physical}");
+            }
+            assert!(
+                overflowed,
+                "width {physical}: no window overflowed the cache"
+            );
+            assert!(!fast.transitions().is_empty());
+        }
+    }
+
+    #[test]
+    fn quiet_suspect_clears_past_64_channels() {
+        // Channel 6 of a 10-of-100 controller turns Suspect, then a skew
+        // fault strikes another channel for the whole replay. Channel 6
+        // must get its clean bits and clear whichever channel that is —
+        // including 70, which is 6 mod 64.
+        for other in [69, 70] {
+            let mut ctl = DegradeController::try_new(10, 100, degrade_policy()).unwrap();
+            ctl.record(6, BITS_PER_EPOCH, 41);
+            ctl.step();
+            assert_eq!(ctl.state(6), CtlState::Suspect);
+            let skew = FaultEvent {
+                channel: other,
+                kind: FaultKind::LaneSkewJump,
+                persistence: Persistence::Transient,
+                start: 1,
+                duration: 10,
+                severity: 0.5,
+            };
+            replay_fault_window(&mut ctl, &[skew], 1, 4, 0, BITS_PER_EPOCH);
+            assert_eq!(ctl.state(6), CtlState::Active, "fault on channel {other}");
+        }
+    }
 
     fn tiny_cfg(fidelity: FidelityMode) -> HyperFleetConfig {
         HyperFleetConfig {

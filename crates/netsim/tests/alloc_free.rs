@@ -1,9 +1,10 @@
 //! Proof of the "allocation-free inner event loops" claim for the
 //! hyperfleet engine: a counting global allocator wraps the system
-//! allocator, and `drain_hard_failures` / `replay_fault_window` must
-//! not touch it once their queue/controller state is warmed — at 10⁶+
-//! links every shard streams through these, so a single per-link
-//! allocation would dominate the run.
+//! allocator, and `drain_hard_failures` / `replay_fault_window` and the
+//! `DegradeController` primitives under them (`record`, `mark_dead`,
+//! `step`) must not touch it once their queue/controller state is
+//! warmed — at 10⁶+ links every shard streams through these, so a
+//! single per-link allocation would dominate the run.
 //!
 //! Cross-checked against the `mosaic_lint` R4 no-alloc registry (the
 //! sim- and fec-side twins are `crates/sim/tests/alloc_free.rs` and
@@ -108,4 +109,38 @@ fn hyperfleet_event_loops_do_not_allocate() {
         warm_transitions > 0,
         "the replay must have driven the controller"
     );
+
+    // --- Controller primitives: record / mark_dead / step on a warmed
+    //     controller, at the fleet's 10-of-12 width and at 100-of-130,
+    //     where the hot-channel bitset spans three words ---------------
+    for (logical, physical) in [(10, 12), (100, 130)] {
+        let mut ctl = DegradeController::try_new(logical, physical, hyperfleet::degrade_policy())
+            .expect("valid geometry");
+        let drive = |ctl: &mut DegradeController| {
+            for epoch in 0..300usize {
+                for ch in (epoch % 7..physical).step_by(9) {
+                    let errors = if (ch + epoch / 40) % 5 == 0 { 41 } else { 0 };
+                    ctl.record(ch, BITS_PER_EPOCH, errors);
+                }
+                if epoch % 37 == 11 {
+                    ctl.mark_dead((epoch * 13) % physical);
+                }
+                ctl.step();
+            }
+        };
+        drive(&mut ctl);
+        let warm_transitions = ctl.transitions().len();
+        ctl.reset();
+        let n = allocs_during(|| drive(&mut ctl));
+        assert_eq!(
+            n, 0,
+            "{logical}-of-{physical} controller allocated {n} times"
+        );
+        assert_eq!(ctl.transitions().len(), warm_transitions);
+        assert!(ctl.spares_activated() > 0, "the script must spend spares");
+        assert!(
+            physical <= 64 || ctl.transitions().iter().any(|t| t.channel >= 64),
+            "the script must drive channels past the first bitset word"
+        );
+    }
 }
