@@ -6,14 +6,9 @@
 //! prints output byte-identical to an uninterrupted run (the CI
 //! kill/resume drill).
 fn main() {
-    let stop = std::env::var("MOSAIC_HYPERFLEET_STOP_AFTER_BATCHES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    match mosaic_bench::fig18_hyperfleet::run_with_stop(stop) {
-        Some(out) => print!("{out}"),
-        None => {
-            eprintln!("[F18] stopped early with checkpoints on disk; rerun to resume");
-            std::process::exit(3);
-        }
-    }
+    mosaic_bench::fragments::main_with_stop_env(
+        "F18",
+        "MOSAIC_HYPERFLEET_STOP_AFTER_BATCHES",
+        mosaic_bench::fig18_hyperfleet::run_with_stop,
+    );
 }

@@ -5,14 +5,9 @@
 //! on disk — rerunning without the limit resumes and prints output
 //! byte-identical to an uninterrupted run (the CI kill/resume drill).
 fn main() {
-    let stop = std::env::var("MOSAIC_TRAFFIC_STOP_AFTER_BATCHES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    match mosaic_bench::fig19_traffic_resilience::run_with_stop(stop) {
-        Some(out) => print!("{out}"),
-        None => {
-            eprintln!("[F19] stopped early with checkpoints on disk; rerun to resume");
-            std::process::exit(3);
-        }
-    }
+    mosaic_bench::fragments::main_with_stop_env(
+        "F19",
+        "MOSAIC_TRAFFIC_STOP_AFTER_BATCHES",
+        mosaic_bench::fig19_traffic_resilience::run_with_stop,
+    );
 }

@@ -42,8 +42,6 @@ use mosaic_sim::telemetry::Stopwatch;
 use std::fs;
 use std::path::Path;
 
-const FRAGMENT_DIR: &str = "results/manifests/fragments";
-
 fn main() {
     let mut manifest_out: Option<String> = None;
     let mut resume = false;
@@ -120,7 +118,7 @@ fn main() {
         "results"
     };
     fs::create_dir_all(results_dir).expect("create results dir");
-    let fragment_dir = Path::new(FRAGMENT_DIR);
+    let fragment_dir = Path::new(fragments::FRAGMENT_DIR);
     if !resume {
         // Fresh start: stale checkpoints must not leak into this run.
         fragments::clear_fragments(fragment_dir);

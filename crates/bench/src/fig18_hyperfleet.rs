@@ -16,7 +16,7 @@
 //! simulates the hyperscale region (1,277,952 links) over 3 years.
 
 use crate::cells;
-use crate::fragments::FragmentRollupStore;
+use crate::fragments::{FragmentRollupStore, FRAGMENT_DIR};
 use crate::runcfg;
 use crate::table::Table;
 use mosaic::compare::candidates;
@@ -28,10 +28,6 @@ use mosaic_sim::telemetry::{self, Stopwatch};
 use mosaic_units::{BitRate, Duration};
 
 const SEED: u64 = 505;
-
-/// Checkpoints live next to the run_all manifest fragments, under the
-/// same clear-on-fresh-start / clear-on-completion discipline.
-const CHECKPOINT_DIR: &str = "results/manifests/fragments";
 
 fn config(policy: Policy) -> (HyperFleetConfig, usize) {
     let topo = if runcfg::quick() {
@@ -97,7 +93,7 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
                 cfg.shard_links
             );
         }
-        let mut store = FragmentRollupStore::new(CHECKPOINT_DIR, tag);
+        let mut store = FragmentRollupStore::new(FRAGMENT_DIR, tag);
         let report =
             match hyperfleet::simulate_with(&cfg, SEED, &exec, &mut store, stop_after_batches) {
                 Ok(Some(report)) => report,
@@ -167,9 +163,6 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
 
 /// Run the experiment to completion.
 pub fn run() -> String {
-    match run_with_stop(None) {
-        Some(out) => out,
-        // Unreachable: no stop limit was set.
-        None => String::from("F18: stopped early without a stop limit\n"),
-    }
+    // `None` is unreachable: no stop limit was set.
+    run_with_stop(None).unwrap_or_else(|| "F18: stopped early without a stop limit\n".into())
 }

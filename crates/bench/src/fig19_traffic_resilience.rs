@@ -21,7 +21,7 @@
 //! schedule.
 
 use crate::cells;
-use crate::fragments::TrafficRollupStore;
+use crate::fragments::{TrafficRollupStore, FRAGMENT_DIR};
 use crate::runcfg;
 use crate::table::Table;
 use mosaic_sim::sweep::{Exec, RunStats};
@@ -40,10 +40,6 @@ const POLICIES: [Policy; 3] = [
     Policy::Controller,
     Policy::ControllerHitless,
 ];
-
-/// Checkpoints live next to the run_all manifest fragments, under the
-/// same clear-on-fresh-start / clear-on-completion discipline.
-const CHECKPOINT_DIR: &str = "results/manifests/fragments";
 
 fn config(rate: f64, policy: Policy) -> TrafficConfig {
     TrafficConfig {
@@ -110,7 +106,7 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
         for (pi, &policy) in POLICIES.iter().enumerate() {
             let cfg = config(rate, policy);
             let tag = format!("{}-r{ri}", policy_tag(policy));
-            let mut store = TrafficRollupStore::new(CHECKPOINT_DIR, &tag);
+            let mut store = TrafficRollupStore::new(FRAGMENT_DIR, &tag);
             let rollup =
                 match run_point_with(&cfg, SEED, runs, &exec, &mut store, stop_after_batches) {
                     Ok(Some(rollup)) => rollup,
@@ -170,9 +166,6 @@ pub fn run_with_stop(stop_after_batches: Option<u64>) -> Option<String> {
 
 /// Run the experiment to completion.
 pub fn run() -> String {
-    match run_with_stop(None) {
-        Some(out) => out,
-        // Unreachable: no stop limit was set.
-        None => String::from("F19: stopped early without a stop limit\n"),
-    }
+    // `None` is unreachable: no stop limit was set.
+    run_with_stop(None).unwrap_or_else(|| "F19: stopped early without a stop limit\n".into())
 }

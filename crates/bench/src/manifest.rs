@@ -38,22 +38,12 @@
 //! `values_view` strips every timing-class field, leaving exactly the
 //! parts that must be byte-identical across `MOSAIC_THREADS` settings.
 
+use mosaic_sim::digest::Fnv64;
 use mosaic_sim::json::Json;
 use mosaic_sim::telemetry::Snapshot;
 
 /// The manifest schema identifier.
 pub const SCHEMA: &str = "mosaic-run-manifest/v1";
-
-/// FNV-1a 64-bit hash; stable, dependency-free digest for outputs and
-/// configuration strings.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// A digest's manifest form: 16 lowercase hex digits.
 pub fn hex(h: u64) -> String {
@@ -81,6 +71,7 @@ impl FigureRecord {
         let timings = Json::object()
             .with("wall_ns", self.wall_ns)
             .with("stages", self.telemetry.timings_json());
+        let output_hash = Fnv64::new().bytes(self.output.as_bytes()).finish();
         Json::object()
             .with("id", self.id.as_str())
             .with("title", self.title.as_str())
@@ -88,7 +79,7 @@ impl FigureRecord {
                 "output",
                 Json::object()
                     .with("bytes", self.output.len())
-                    .with("fnv1a", hex(fnv1a(self.output.as_bytes())).as_str()),
+                    .with("fnv1a", hex(output_hash).as_str()),
             )
             .with("values", self.telemetry.values_json())
             .with("timings", timings)
@@ -131,7 +122,7 @@ impl RunManifest {
             desc.push_str(";fidelity=");
             desc.push_str(&self.fidelity);
         }
-        fnv1a(desc.as_bytes())
+        Fnv64::new().bytes(desc.as_bytes()).finish()
     }
 
     /// Render the manifest as a JSON document.
@@ -678,13 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_is_the_reference_function() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(hex(fnv1a(b"")), "cbf29ce484222325");
-    }
-
-    #[test]
     fn adaptive_fidelity_changes_the_config_hash_full_does_not() {
         let _g = locked();
         let full = sample(1, 1);
@@ -692,7 +676,7 @@ mod tests {
         adaptive.fidelity = "adaptive".into();
         // Full-fidelity hashes are byte-for-byte the pre-fidelity hashes
         // (the field is appended only when it deviates from "full").
-        assert_eq!(full.config_hash(), fnv1a(b"quick;F1"));
+        assert_eq!(full.config_hash(), Fnv64::new().bytes(b"quick;F1").finish());
         assert_ne!(full.config_hash(), adaptive.config_hash());
     }
 

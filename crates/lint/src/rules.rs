@@ -22,10 +22,11 @@
 //! * **R4 — no-alloc kernels**: functions in the registry (the RS/BCH
 //!   scratch decoders, the batched slicer, `corrupt_symbols`) must not
 //!   call `Vec::new`/`vec!`/`to_vec`/`collect`/`format!`/`to_string`/
-//!   `String::new|from`/`Box::new` in their bodies. The registry is
-//!   cross-checked against the counting-allocator harness
-//!   (`crates/fec/tests/alloc_free.rs`) in both directions, so the
-//!   static list and the runtime proof cannot drift apart.
+//!   `String::new|from`/`Box::new` (turbofish forms included) in their
+//!   bodies. The registry is cross-checked against the
+//!   counting-allocator harness (`crates/fec/tests/alloc_free.rs`) in
+//!   both directions, so the static list and the runtime proof cannot
+//!   drift apart.
 //! * **R5 — seed-stream discipline**: every `DetRng` derivation site
 //!   must use a unique literal label; raw `DetRng::stream` calls and
 //!   `DetRng` values captured by parallel task closures are denied
@@ -467,7 +468,9 @@ fn exactness_registry() -> Vec<ExactFold> {
 }
 
 /// Calls banned inside registry functions: each is a token pattern plus
-/// the display name used in diagnostics.
+/// the display name used in diagnostics. A `Type::method` pattern also
+/// matches the turbofish form `Type::<...>::method` (see
+/// [`match_banned`]).
 const R4_BANNED: &[(&[&str], &str)] = &[
     (&["Vec", ":", ":", "new"], "Vec::new"),
     (&["String", ":", ":", "new"], "String::new"),
@@ -622,7 +625,7 @@ pub fn local_findings(
             Some((a, b)) => {
                 for i in a..b {
                     for (pat, name) in R4_BANNED {
-                        if match_pattern(toks, i, pat) {
+                        if match_banned(toks, i, pat) {
                             findings.push(LocalFinding {
                                 rule: "R4".into(),
                                 line: toks[i].line,
@@ -732,6 +735,32 @@ fn match_pattern(toks: &[crate::lexer::Token], at: usize, pat: &[&str]) -> bool 
             }) => want.len() == 1 && want.starts_with(*c),
             _ => false,
         })
+}
+
+/// [`match_pattern`], where a `Type::method` pattern also matches its
+/// turbofish form: `Vec::<u8>::new`, `Box::<dyn Fn() -> u8>::new`.
+fn match_banned(toks: &[crate::lexer::Token], at: usize, pat: &[&str]) -> bool {
+    let [ty, ":", ":", method] = pat else {
+        return match_pattern(toks, at, pat);
+    };
+    if !match_pattern(toks, at, &[ty, ":", ":", "<"]) {
+        return match_pattern(toks, at, pat);
+    }
+    // Skip the balanced generic list; the `>` of a `->` closes nothing.
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(at + 3) {
+        match t.tok {
+            Tok::Sym('<') => depth += 1,
+            Tok::Sym('>') if toks[j - 1].tok != Tok::Sym('-') => {
+                depth -= 1;
+                if depth == 0 {
+                    return match_pattern(toks, j + 1, &[":", ":", method]);
+                }
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Keywords that can directly precede `[` without forming an index
@@ -851,6 +880,37 @@ mod tests {
         let denied: Vec<_> = diags.iter().filter(|d| d.level == Level::Deny).collect();
         assert_eq!(denied.len(), 1);
         assert!(denied[0].message.contains("collect"));
+    }
+
+    #[test]
+    fn r4_sees_turbofish_constructors() {
+        let mut cfg = cfg_all();
+        cfg.registry = vec![RegistryFn {
+            file: "hot.rs",
+            func: "kernel",
+            harness: None,
+        }];
+        let src = "fn kernel() {\n    let a = Vec::<u8>::new();\n    let b = Box::<[u64; 4]>::new([0; 4]);\n    let c = Box::<dyn Fn() -> Vec<u8>>::new(|| v());\n    let d = Vec::<Vec<u8>>::with_capacity(0);\n}";
+        let (diags, _) = check_file(&cfg, "fec", "src/hot.rs", src);
+        let mut denied: Vec<(u32, String)> = diags
+            .iter()
+            .filter(|d| d.level == Level::Deny)
+            .map(|d| {
+                (
+                    d.line,
+                    d.message.split(' ').next().unwrap_or("").to_string(),
+                )
+            })
+            .collect();
+        denied.sort();
+        assert_eq!(
+            denied,
+            vec![
+                (2, "Vec::new".to_string()),
+                (3, "Box::new".to_string()),
+                (4, "Box::new".to_string()),
+            ]
+        );
     }
 
     #[test]

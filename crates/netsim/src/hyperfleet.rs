@@ -29,9 +29,11 @@
 //!   [`TrialPlan::fold`] machinery: thread-count invariance is by
 //!   construction, not by tolerance.
 //! * **Checkpointing.** Batches of shards stream their cumulative
-//!   rollup through a [`RollupStore`] (the bench crate persists these as
-//!   manifest-fragment-style JSON files), so a killed run resumes from
-//!   the last completed batch with byte-identical final results.
+//!   rollup through a [`Checkpoint`] store via
+//!   [`mosaic_sim::checkpoint::resume_batches`] (the bench crate persists
+//!   them as JSON files next to the figure fragments), so a killed run
+//!   resumes from the last completed batch with byte-identical final
+//!   results.
 //! * **Fidelity demotion.** In adaptive mode the PR 7
 //!   [`FidelityController`] demotes comfortably-healthy spared classes
 //!   to the analytic class-level Poisson path (exact for the hard-fail
@@ -44,6 +46,8 @@ use crate::assignment::Assignment;
 use crate::failure_sim::ClassFailureProcess;
 use mosaic::compare::TechnologyKind;
 use mosaic_link::degrade::{CtlState, DegradeConfig, DegradeController};
+use mosaic_sim::checkpoint::{resume_batches, Checkpoint, ExactRollup, Field, NoStore};
+use mosaic_sim::digest::Fnv64;
 use mosaic_sim::event::EventQueue;
 use mosaic_sim::faults::{CampaignConfig, FaultCampaign, FaultEvent, Persistence};
 use mosaic_sim::fidelity::{
@@ -256,39 +260,33 @@ impl HyperFleetConfig {
     /// FNV-1a digest over the full configuration and seed — the
     /// checkpoint-store key that makes stale checkpoints unloadable.
     pub fn digest(&self, seed: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        mix(seed);
-        mix(self.years.to_bits());
-        mix(self.mttr.as_hours().to_bits());
-        mix(self.shard_links);
-        mix(self.shards_per_batch);
-        mix(self.faults_per_kilo_hour.to_bits());
-        mix(self.max_fault_duration as u64);
-        mix(self.permanent_fraction.to_bits());
-        mix(self.rebuild_lost_fraction.to_bits());
-        mix(match self.fidelity {
-            FidelityMode::Full => 0,
-            FidelityMode::Adaptive => 1,
-        });
-        mix(self.classes.len() as u64);
+        let mut h = Fnv64::sim();
+        h.word(seed)
+            .word(self.years.to_bits())
+            .word(self.mttr.as_hours().to_bits())
+            .word(self.shard_links)
+            .word(self.shards_per_batch)
+            .word(self.faults_per_kilo_hour.to_bits())
+            .word(self.max_fault_duration as u64)
+            .word(self.permanent_fraction.to_bits())
+            .word(self.rebuild_lost_fraction.to_bits())
+            .word(match self.fidelity {
+                FidelityMode::Full => 0,
+                FidelityMode::Adaptive => 1,
+            })
+            .word(self.classes.len() as u64);
         for c in &self.classes {
-            mix(c.name.len() as u64);
+            h.word(c.name.len() as u64);
             for b in c.name.bytes() {
-                mix(b as u64);
+                h.word(u64::from(b));
             }
-            mix(c.links);
-            mix(c.link_fit.as_fit().to_bits());
-            mix(c.aggregate.as_gbps().to_bits());
-            mix(c.groups as u64);
-            mix(c.logical_groups as u64);
+            h.word(c.links)
+                .word(c.link_fit.as_fit().to_bits())
+                .word(c.aggregate.as_gbps().to_bits())
+                .word(c.groups as u64)
+                .word(c.logical_groups as u64);
         }
-        h
+        h.finish()
     }
 }
 
@@ -353,7 +351,7 @@ pub fn class_tiers(cfg: &HyperFleetConfig) -> Vec<ClassTier> {
 }
 
 /// The fleet-wide running aggregate: every field is an exact integer,
-/// so [`FleetRollup::merge`] is commutative and associative and the
+/// so [`ExactRollup::merge`] is commutative and associative and the
 /// fold result is independent of shard order and thread count. Float
 /// quantities (hours) are stored in [`ROLLUP_QUANT`] fixed point,
 /// quantized once per shard.
@@ -390,9 +388,33 @@ pub struct FleetRollup {
 }
 
 impl FleetRollup {
+    /// Full-outage downtime in link-hours.
+    pub fn downtime_link_hours(&self) -> f64 {
+        dequantize(self.downtime_q)
+    }
+
+    /// Degraded (shed-lane) time in lane-hours.
+    pub fn degraded_lane_hours(&self) -> f64 {
+        dequantize(self.degraded_q)
+    }
+
+    /// Capacity lost in Gb/s·hours.
+    pub fn capacity_lost_gbps_hours(&self) -> f64 {
+        dequantize(self.capacity_lost_q)
+    }
+}
+
+/// Checkpointed as `hf-<tag>-b<batch>.json`, schema
+/// `mosaic-hyperfleet-rollup/v1`.
+impl ExactRollup for FleetRollup {
+    const SCHEMA: &'static str = "mosaic-hyperfleet-rollup/v1";
+    const FAMILY: &'static str = "hf";
+    const NAME: &'static str = "hyperfleet";
+    const ERROR_SCOPE: &'static str = "hyperfleet_checkpoint";
+
     /// Fold another rollup in. Exact integer addition throughout:
     /// `a.merge(b)` equals `b.merge(a)` bit for bit.
-    pub fn merge(&mut self, other: &FleetRollup) {
+    fn merge(&mut self, other: &FleetRollup) {
         self.shards += other.shards;
         self.links += other.links;
         self.event_sourced_links += other.event_sourced_links;
@@ -411,19 +433,24 @@ impl FleetRollup {
         }
     }
 
-    /// Full-outage downtime in link-hours.
-    pub fn downtime_link_hours(&self) -> f64 {
-        dequantize(self.downtime_q)
-    }
-
-    /// Degraded (shed-lane) time in lane-hours.
-    pub fn degraded_lane_hours(&self) -> f64 {
-        dequantize(self.degraded_q)
-    }
-
-    /// Capacity lost in Gb/s·hours.
-    pub fn capacity_lost_gbps_hours(&self) -> f64 {
-        dequantize(self.capacity_lost_q)
+    fn walk(&mut self, visit: &mut dyn FnMut(&'static str, Field<'_>)) {
+        visit("shards", Field::U64(&mut self.shards));
+        visit("links", Field::U64(&mut self.links));
+        visit(
+            "event_sourced_links",
+            Field::U64(&mut self.event_sourced_links),
+        );
+        visit("tickets", Field::U64(&mut self.tickets));
+        visit("hard_failures", Field::U64(&mut self.hard_failures));
+        visit("rebuilds", Field::U64(&mut self.rebuilds));
+        visit("channel_faults", Field::U64(&mut self.channel_faults));
+        visit("spares_activated", Field::U64(&mut self.spares_activated));
+        visit("lanes_shed", Field::U64(&mut self.lanes_shed));
+        visit("exhausted_links", Field::U64(&mut self.exhausted_links));
+        visit("downtime_q", Field::U128(&mut self.downtime_q));
+        visit("degraded_q", Field::U128(&mut self.degraded_q));
+        visit("capacity_lost_q", Field::U128(&mut self.capacity_lost_q));
+        visit("spare_occupancy", Field::Hist(&mut self.spare_occupancy));
     }
 }
 
@@ -435,30 +462,6 @@ fn quantize(x: f64) -> u128 {
 /// Back to float for reporting.
 pub fn dequantize(q: u128) -> f64 {
     q as f64 / ROLLUP_QUANT
-}
-
-/// Persistence for cumulative batch rollups — the kill/resume seam.
-/// The bench crate implements this over the manifest-fragment store;
-/// [`NoStore`] runs without persistence.
-pub trait RollupStore {
-    /// Load the cumulative rollup checkpointed after `batch`, if present
-    /// and stamped with `digest`.
-    fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup>;
-    /// Persist the cumulative rollup after `batch`.
-    fn save(&mut self, batch: u64, digest: u64, rollup: &FleetRollup) -> Result<()>;
-}
-
-/// A [`RollupStore`] that never persists: every run starts fresh.
-#[derive(Debug, Default)]
-pub struct NoStore;
-
-impl RollupStore for NoStore {
-    fn load(&mut self, _batch: u64, _digest: u64) -> Option<FleetRollup> {
-        None
-    }
-    fn save(&mut self, _batch: u64, _digest: u64, _rollup: &FleetRollup) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// One shard: a contiguous run of links within one class.
@@ -981,16 +984,17 @@ fn finish(cfg: &HyperFleetConfig, rollup: FleetRollup) -> HyperFleetReport {
 
 /// Run the full simulation with checkpointing: shards execute in
 /// batches of [`HyperFleetConfig::shards_per_batch`], each batch fanned
-/// out through [`TrialPlan::fold`] and the cumulative rollup saved to
-/// `store`. On entry the store is scanned (newest batch first) and the
-/// run resumes after the last valid checkpoint. `stop_after_batches`
+/// out through [`TrialPlan::fold`], under the
+/// [`resume_batches`] protocol keyed by [`HyperFleetConfig::digest`]:
+/// the run resumes after the newest valid checkpoint in `store`, saves
+/// the cumulative rollup after every batch, and `stop_after_batches`
 /// limits the batches executed *this invocation* (the kill/resume
 /// drill); `Ok(None)` means the run stopped early and can be resumed.
 pub fn simulate_with(
     cfg: &HyperFleetConfig,
     seed: u64,
     exec: &Exec,
-    store: &mut dyn RollupStore,
+    store: &mut dyn Checkpoint<FleetRollup>,
     stop_after_batches: Option<u64>,
 ) -> Result<Option<HyperFleetReport>> {
     cfg.validate()?;
@@ -1004,27 +1008,12 @@ pub fn simulate_with(
         tiers.push(tier);
     }
     let specs = shard_specs(cfg, &tiers);
-    let digest = cfg.digest(seed);
     let spb = cfg.shards_per_batch as usize;
-    let batches = specs.len().div_ceil(spb);
-    let mut cumulative = FleetRollup::default();
-    let mut start_batch = 0usize;
-    for b in (0..batches).rev() {
-        if let Some(r) = store.load(b as u64, digest) {
-            cumulative = r;
-            start_batch = b + 1;
-            break;
-        }
-    }
-    for (executed, b) in (start_batch..batches).enumerate() {
-        if let Some(limit) = stop_after_batches {
-            if executed as u64 >= limit {
-                return Ok(None);
-            }
-        }
-        let first = b * spb;
+    let batches = specs.len().div_ceil(spb) as u64;
+    let rollup = resume_batches(store, cfg.digest(seed), batches, stop_after_batches, |b| {
+        let first = b as usize * spb;
         let batch = &specs[first..specs.len().min(first + spb)];
-        let part = TrialPlan::new()
+        TrialPlan::new()
             .trials(batch.len() as u64)
             .seed(seed)
             .label("hyperfleet")
@@ -1037,28 +1026,23 @@ pub fn simulate_with(
                     acc.merge(&r);
                 },
                 |total, other| total.merge(&other),
-            );
-        cumulative.merge(&part);
-        store.save(b as u64, digest, &cumulative)?;
-    }
-    Ok(Some(finish(cfg, cumulative)))
+            )
+    })?;
+    Ok(rollup.map(|r| finish(cfg, r)))
 }
 
 /// [`simulate_with`] without persistence or early stop.
 pub fn simulate(cfg: &HyperFleetConfig, seed: u64, exec: &Exec) -> Result<HyperFleetReport> {
-    match simulate_with(cfg, seed, exec, &mut NoStore, None)? {
-        Some(report) => Ok(report),
-        // Unreachable: no stop limit was set.
-        None => Err(MosaicError::invalid_config(
-            "hyperfleet_stop",
-            "simulation stopped without a stop limit",
-        )),
-    }
+    // `None` is unreachable: no stop limit was set.
+    simulate_with(cfg, seed, exec, &mut NoStore, None)?.ok_or_else(|| {
+        MosaicError::invalid_config("hyperfleet_stop", "simulation stopped without a stop limit")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_sim::checkpoint::MemStore;
     use mosaic_sim::faults::FaultKind;
     use mosaic_units::{BitRate, Duration, Fit};
 
@@ -1308,20 +1292,6 @@ mod tests {
 
     #[test]
     fn stop_and_resume_through_a_store_is_byte_identical() {
-        #[derive(Default)]
-        struct MemStore(std::collections::BTreeMap<u64, (u64, FleetRollup)>);
-        impl RollupStore for MemStore {
-            fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup> {
-                self.0
-                    .get(&batch)
-                    .filter(|(d, _)| *d == digest)
-                    .map(|(_, r)| *r)
-            }
-            fn save(&mut self, batch: u64, digest: u64, r: &FleetRollup) -> Result<()> {
-                self.0.insert(batch, (digest, *r));
-                Ok(())
-            }
-        }
         let cfg = tiny_cfg(FidelityMode::Full);
         let exec = Exec::with_threads(2);
         let clean = simulate(&cfg, 9, &exec).unwrap();
@@ -1329,7 +1299,7 @@ mod tests {
         // Killed after one batch...
         let stopped = simulate_with(&cfg, 9, &exec, &mut store, Some(1)).unwrap();
         assert!(stopped.is_none());
-        assert!(!store.0.is_empty());
+        assert!(!store.saved.is_empty());
         // ...resumed to completion: identical to the uninterrupted run.
         let resumed = simulate_with(&cfg, 9, &exec, &mut store, None)
             .unwrap()

@@ -28,5 +28,5 @@ pub mod topology;
 pub use assignment::{assign, Policy};
 pub use failure_sim::ClassFailureProcess;
 pub use fleet::FleetReport;
-pub use hyperfleet::{FleetRollup, HyperClass, HyperFleetConfig, HyperFleetReport, RollupStore};
+pub use hyperfleet::{FleetRollup, HyperClass, HyperFleetConfig, HyperFleetReport};
 pub use topology::{ClosTopology, LinkClass, RailTopology};

@@ -3,14 +3,12 @@
 //! equivalence through a checkpoint store killed at every batch
 //! boundary, and a property sweep over randomized small fleets.
 
-use mosaic_netsim::hyperfleet::{
-    simulate, simulate_with, FleetRollup, HyperClass, HyperFleetConfig, RollupStore,
-};
+use mosaic_netsim::hyperfleet::{simulate, simulate_with, HyperClass, HyperFleetConfig};
+use mosaic_sim::checkpoint::MemStore;
 use mosaic_sim::fidelity::FidelityMode;
 use mosaic_sim::sweep::Exec;
-use mosaic_units::{BitRate, Duration, Fit, Result};
+use mosaic_units::{BitRate, Duration, Fit};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 fn fleet_cfg(mosaic_links: u64, optics_links: u64, years: f64) -> HyperFleetConfig {
     HyperFleetConfig {
@@ -41,25 +39,6 @@ fn fleet_cfg(mosaic_links: u64, optics_links: u64, years: f64) -> HyperFleetConf
         permanent_fraction: 0.25,
         rebuild_lost_fraction: 0.2,
         fidelity: FidelityMode::Full,
-    }
-}
-
-/// An in-memory store that records every checkpoint.
-#[derive(Default)]
-struct MemStore {
-    saved: BTreeMap<u64, (u64, FleetRollup)>,
-}
-
-impl RollupStore for MemStore {
-    fn load(&mut self, batch: u64, digest: u64) -> Option<FleetRollup> {
-        self.saved
-            .get(&batch)
-            .filter(|(d, _)| *d == digest)
-            .map(|(_, r)| *r)
-    }
-    fn save(&mut self, batch: u64, digest: u64, rollup: &FleetRollup) -> Result<()> {
-        self.saved.insert(batch, (digest, *rollup));
-        Ok(())
     }
 }
 
@@ -102,6 +81,13 @@ fn kill_at_every_batch_boundary_resumes_byte_identically() {
         let report = finished.expect("run must finish within the batch budget");
         assert_eq!(report, clean, "stop-after={stop}");
     }
+}
+
+/// The config digest keys every checkpoint on disk: a silent change
+/// would orphan checkpoints of a killed run.
+#[test]
+fn config_digest_is_pinned() {
+    assert_eq!(fleet_cfg(1024, 512, 1.5).digest(7), 0xefda_8a2e_5431_3245);
 }
 
 #[test]

@@ -31,12 +31,16 @@
 //!   histograms, series, per-stage wall/CPU timers) whose metric values
 //!   are thread-count invariant by construction;
 //! * [`json`] — a dependency-free JSON writer/parser with deterministic
-//!   output, backing the run manifests in `crates/bench`.
+//!   output, backing the run manifests in `crates/bench`;
+//! * [`digest`] — the workspace's one FNV-1a hasher;
+//! * [`checkpoint`] — the kill/resume seam of the batched rollup folds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod checkpoint;
+pub mod digest;
 pub mod event;
 pub mod faults;
 pub mod fidelity;

@@ -6,25 +6,22 @@
 //! it executes (an [`Exec`] passed to the terminal method). One plan,
 //! five terminal shapes:
 //!
-//! | terminal            | replaces                       | closure                           |
-//! |---------------------|--------------------------------|-----------------------------------|
-//! | [`TrialPlan::run`]  | `Exec::par_trials`             | `Fn(&mut TrialCtx) -> T`          |
-//! | [`TrialPlan::sum`]  | `Exec::par_trials_sum`         | `Fn(&mut TrialCtx) -> u64`        |
-//! | [`TrialPlan::run_with`] | `Exec::run_tasks_with`     | `Fn(&mut TrialCtx, &mut S) -> T`  |
-//! | [`TrialPlan::fold`] | `Exec::fold_tasks_commutative` | `Fn(&mut TrialCtx, &mut S, &mut A)` |
-//! | [`TrialPlan::run_resilient`] | `Exec::par_trials_resilient` | `Fn(&mut TrialCtx) -> T`   |
+//! | terminal                     | closure                             |
+//! |------------------------------|-------------------------------------|
+//! | [`TrialPlan::run`]           | `Fn(&mut TrialCtx) -> T`            |
+//! | [`TrialPlan::sum`]           | `Fn(&mut TrialCtx) -> u64`          |
+//! | [`TrialPlan::run_with`]      | `Fn(&mut TrialCtx, &mut S) -> T`    |
+//! | [`TrialPlan::fold`]          | `Fn(&mut TrialCtx, &mut S, &mut A)` |
+//! | [`TrialPlan::run_resilient`] | `Fn(&mut TrialCtx) -> T`            |
 //!
 //! Each trial's closure receives a [`TrialCtx`]: the trial index, the
 //! retry attempt, and counter-derived RNG streams ([`TrialCtx::rng`] for
 //! the plan's labelled stream, [`TrialCtx::stream`] for named stream
-//! families like `"rs-data"`/`"rs-noise"`). Stream derivation is exactly
-//! the engine's historic scheme, so a migrated call site is bit-identical
-//! to the deprecated entry point it replaces.
+//! families like `"rs-data"`/`"rs-noise"`).
 //!
 //! **Telemetry is label opt-in**: a plan with a label records the
-//! `trials.{label}` counter and a `par_trials.{label}` stage, exactly as
-//! the old labelled entry points did; an unlabelled plan records nothing
-//! (the old `run_tasks`/`fold_tasks_commutative` behavior).
+//! `trials.{label}` counter and a `par_trials.{label}` stage; an
+//! unlabelled plan records nothing.
 
 use super::engine::Exec;
 use super::resilience::{self, ResilientRun};
@@ -102,8 +99,7 @@ impl TrialCtx<'_> {
 
 /// A declarative Monte-Carlo fan-out: trial count, root seed, stream
 /// label, retry budget, and fidelity hint, executed against an [`Exec`]
-/// by one of the terminal methods. See the module docs for the mapping
-/// from the deprecated `Exec` entry points.
+/// by one of the terminal methods listed in the module docs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrialPlan<'a> {
     trials: u64,
@@ -354,113 +350,6 @@ impl<'a> TrialPlan<'a> {
     }
 }
 
-/// The deprecated entry points, kept as thin wrappers over [`TrialPlan`]
-/// so existing call sites keep compiling (and stay bit-identical — the
-/// wrappers delegate, they do not reimplement).
-impl Exec {
-    /// Run `n` independent tasks and return their results in task order.
-    ///
-    /// # Panics
-    /// Panics (once, with the [`mosaic_units::MosaicError::WorkerFailed`]
-    /// message) if a task closure panics; use [`Exec::try_run_tasks`] to
-    /// handle the failure as a `Result` instead.
-    #[deprecated(note = "use TrialPlan::new().trials(n).run(exec, |ctx| ...)")]
-    pub fn run_tasks<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n as u64)
-            .run(self, |ctx| f(ctx.trial() as usize))
-    }
-
-    /// [`Exec::run_tasks`] with one reusable scratch state per worker.
-    ///
-    /// # Panics
-    /// As [`Exec::run_tasks`]; use [`Exec::try_run_tasks_with`] for a
-    /// `Result`.
-    #[deprecated(note = "use TrialPlan::new().trials(n).run_with(exec, make_state, |ctx, s| ...)")]
-    pub fn run_tasks_with<S, T, FS, F>(&self, n: usize, make_state: FS, f: F) -> Vec<T>
-    where
-        T: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n as u64)
-            .run_with(self, make_state, |ctx, s| f(ctx.trial() as usize, s))
-    }
-
-    /// Monte-Carlo fan-out summing a `u64` statistic per trial.
-    ///
-    /// # Panics
-    /// As [`Exec::run_tasks`].
-    #[deprecated(note = "use TrialPlan::new().trials(n).seed(s).label(l).sum(exec, |ctx| ...)")]
-    pub fn par_trials_sum<F>(&self, n: u64, seed: u64, label: &str, f: F) -> u64
-    where
-        F: Fn(u64, &mut DetRng) -> u64 + Sync,
-    {
-        TrialPlan::new()
-            .trials(n)
-            .seed(seed)
-            .label(label)
-            .sum(self, |ctx| {
-                let mut rng = ctx.rng();
-                f(ctx.trial(), &mut rng)
-            })
-    }
-
-    /// Monte-Carlo fan-out: `n` trials, trial `i` running against its own
-    /// counter-derived stream `(seed, label, i)`.
-    ///
-    /// # Panics
-    /// As [`Exec::run_tasks`].
-    #[deprecated(note = "use TrialPlan::new().trials(n).seed(s).label(l).run(exec, |ctx| ...)")]
-    pub fn par_trials<T, F>(&self, n: u64, seed: u64, label: &str, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut DetRng) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n)
-            .seed(seed)
-            .label(label)
-            .run(self, |ctx| {
-                let mut rng = ctx.rng();
-                f(ctx.trial(), &mut rng)
-            })
-    }
-
-    /// Panic-tolerant Monte-Carlo fan-out with a per-trial retry budget.
-    #[deprecated(
-        note = "use TrialPlan::new().trials(n).seed(s).label(l).retry_budget(r)\
-                .run_resilient(exec, |ctx| ...)"
-    )]
-    pub fn par_trials_resilient<T, F>(
-        &self,
-        n: u64,
-        seed: u64,
-        label: &str,
-        retry_budget: u32,
-        f: F,
-    ) -> ResilientRun<T>
-    where
-        T: Send,
-        F: Fn(u64, u32, &mut DetRng) -> T + Sync,
-    {
-        TrialPlan::new()
-            .trials(n)
-            .seed(seed)
-            .label(label)
-            .retry_budget(retry_budget)
-            .run_resilient(self, |ctx| {
-                let mut rng = ctx.rng();
-                f(ctx.trial(), ctx.attempt(), &mut rng)
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,6 +503,16 @@ mod tests {
         assert_eq!(seq.stats.failed_trials, 0);
         let expected = DetRng::substream_indexed(5, "res-b#retry1", 7).next_u64();
         assert_eq!(seq.values[7], Some(expected));
+        // Every trial that did not panic drew exactly the stream a plain
+        // `run` of the same plan draws.
+        let plain = TrialPlan::new()
+            .trials(24)
+            .seed(5)
+            .label("res-b")
+            .run(&Exec::with_threads(1), |ctx| ctx.rng().next_u64());
+        for (i, v) in seq.values.iter().enumerate().filter(|&(i, _)| i != 7) {
+            assert_eq!(*v, Some(plain[i]), "trial {i}");
+        }
         for threads in [2, 8] {
             let par = run_at(threads);
             assert_eq!(seq.values, par.values, "threads={threads}");
@@ -644,91 +543,5 @@ mod tests {
         assert_eq!(run.failures[0].attempts, 3);
         assert!(run.failures[0].message.contains("permanent fault"));
         assert_eq!(run.values.iter().filter(|v| v.is_some()).count(), 15);
-    }
-
-    // The deprecated wrappers must stay bit-identical to the plans they
-    // delegate to: these are compatibility tests, not new API surface.
-    mod deprecated_wrappers {
-        #![allow(deprecated)]
-        use super::*;
-
-        #[test]
-        fn run_tasks_matches_plan_run() {
-            let exec = Exec::with_threads(4);
-            let old = exec.run_tasks(64, |i| i * 7);
-            let new = TrialPlan::new()
-                .trials(64)
-                .run(&exec, |ctx| ctx.trial() as usize * 7);
-            assert_eq!(old, new);
-        }
-
-        #[test]
-        fn par_trials_matches_plan_run() {
-            let _telemetry = crate::telemetry::test_guard::shared();
-            let exec = Exec::with_threads(4);
-            let old = exec.par_trials(32, 11, "wrap-a", |_i, rng| rng.next_u64());
-            let new = TrialPlan::new()
-                .trials(32)
-                .seed(11)
-                .label("wrap-a")
-                .run(&exec, |ctx| ctx.rng().next_u64());
-            assert_eq!(old, new);
-        }
-
-        #[test]
-        fn par_trials_sum_matches_plan_sum() {
-            let _telemetry = crate::telemetry::test_guard::shared();
-            for threads in [1, 4] {
-                let exec = Exec::with_threads(threads);
-                let old = exec.par_trials_sum(40, 7, "wrap-b", |_i, rng| rng.next_u64() >> 40);
-                let new = TrialPlan::new()
-                    .trials(40)
-                    .seed(7)
-                    .label("wrap-b")
-                    .sum(&exec, |ctx| ctx.rng().next_u64() >> 40);
-                assert_eq!(old, new, "threads={threads}");
-            }
-        }
-
-        #[test]
-        fn run_tasks_with_matches_plan_run_with() {
-            let exec = Exec::with_threads(3);
-            let old = exec.run_tasks_with(97, Vec::<u64>::new, |i, buf| {
-                buf.clear();
-                buf.push((i as u64).wrapping_mul(2654435761));
-                buf[0]
-            });
-            let new = TrialPlan::new()
-                .trials(97)
-                .run_with(&exec, Vec::<u64>::new, |ctx, buf| {
-                    buf.clear();
-                    buf.push(ctx.trial().wrapping_mul(2654435761));
-                    buf[0]
-                });
-            assert_eq!(old, new);
-        }
-
-        #[test]
-        fn par_trials_resilient_no_panic_matches_par_trials() {
-            let _telemetry = crate::telemetry::test_guard::shared();
-            // With nothing panicking, attempt 0 uses the exact par_trials
-            // stream, so values match bit-for-bit and counters stay zero.
-            let plain = Exec::with_threads(1).par_trials(32, 11, "res-a", |_i, rng| rng.next_u64());
-            for threads in [1, 8] {
-                let run = Exec::with_threads(threads).par_trials_resilient(
-                    32,
-                    11,
-                    "res-a",
-                    2,
-                    |_i, _attempt, rng| rng.next_u64(),
-                );
-                let got: Vec<u64> = run.values.iter().map(|v| v.unwrap()).collect();
-                assert_eq!(plain, got, "threads={threads}");
-                assert_eq!(run.stats.panics, 0);
-                assert_eq!(run.stats.retries, 0);
-                assert_eq!(run.stats.failed_trials, 0);
-                assert!(run.failures.is_empty());
-            }
-        }
     }
 }

@@ -23,10 +23,7 @@ pub use harness::{
     policy_tag, traffic_degrade_config, LinkHarness, Policy, TrafficConfig, MAX_BATCH,
 };
 pub use rollup::{TrafficRollup, LAT_BUCKETS};
-pub use sweep::{
-    point_digest, run_one, run_point, run_point_with, run_seed, NoStore, TrafficStore,
-    RUNS_PER_BATCH,
-};
+pub use sweep::{point_digest, run_one, run_point, run_point_with, run_seed, RUNS_PER_BATCH};
 pub use workload::{kind_tag, FrameSpec, Workload, WorkloadConfig, WorkloadKind};
 
 /// Crate result alias (re-exported from `mosaic-units`).

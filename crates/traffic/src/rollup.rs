@@ -18,6 +18,9 @@
 //! proptest feeds arbitrary fault masks through the harness and checks
 //! the books balance at every epoch.
 
+use mosaic_sim::checkpoint::{ExactRollup, Field};
+use mosaic_sim::digest::Fnv64;
+
 /// Latency histogram buckets. Bucket `i < LAT_BUCKETS - 1` counts frames
 /// delivered with a queue-to-delivery latency of exactly `i` epochs
 /// (the last data bucket also absorbs anything slower); the final bucket
@@ -27,7 +30,7 @@
 pub const LAT_BUCKETS: usize = 16;
 
 /// Exact-integer rollup of one or more traffic runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficRollup {
     /// Completed runs merged into this rollup.
     pub runs: u64,
@@ -65,28 +68,6 @@ pub struct TrafficRollup {
     /// Sum of delivered latencies in epochs (u128: immune to overflow at
     /// any realistic scale, still exact integer addition).
     pub latency_sum: u128,
-}
-
-impl Default for TrafficRollup {
-    fn default() -> Self {
-        TrafficRollup {
-            runs: 0,
-            offered: 0,
-            delivered: 0,
-            retried: 0,
-            expired: 0,
-            exhausted: 0,
-            reordered: 0,
-            corrupt_frames: 0,
-            deskew_epochs: 0,
-            remaps: 0,
-            pause_epochs: 0,
-            lost_lanes: 0,
-            payload_bytes: 0,
-            latency_hist: [0; LAT_BUCKETS],
-            latency_sum: 0,
-        }
-    }
 }
 
 impl TrafficRollup {
@@ -184,13 +165,7 @@ impl TrafficRollup {
     /// FNV-1a fingerprint over every counter — the cheap bit-identity
     /// check used by the determinism gates and the resume drill.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = Fnv64::sim();
         for v in [
             self.runs,
             self.offered,
@@ -206,14 +181,45 @@ impl TrafficRollup {
             self.lost_lanes,
             self.payload_bytes,
         ] {
-            mix(v);
+            h.word(v);
         }
         for &n in &self.latency_hist {
-            mix(n);
+            h.word(n);
         }
-        mix(self.latency_sum as u64);
-        mix((self.latency_sum >> 64) as u64);
-        h
+        h.word(self.latency_sum as u64)
+            .word((self.latency_sum >> 64) as u64)
+            .finish()
+    }
+}
+
+/// Checkpointed as `tr-<tag>-b<batch>.json`, schema
+/// `mosaic-traffic-rollup/v1`.
+impl ExactRollup for TrafficRollup {
+    const SCHEMA: &'static str = "mosaic-traffic-rollup/v1";
+    const FAMILY: &'static str = "tr";
+    const NAME: &'static str = "traffic";
+    const ERROR_SCOPE: &'static str = "traffic_checkpoint";
+
+    fn merge(&mut self, other: &Self) {
+        TrafficRollup::merge(self, other);
+    }
+
+    fn walk(&mut self, visit: &mut dyn FnMut(&'static str, Field<'_>)) {
+        visit("runs", Field::U64(&mut self.runs));
+        visit("offered", Field::U64(&mut self.offered));
+        visit("delivered", Field::U64(&mut self.delivered));
+        visit("retried", Field::U64(&mut self.retried));
+        visit("expired", Field::U64(&mut self.expired));
+        visit("exhausted", Field::U64(&mut self.exhausted));
+        visit("reordered", Field::U64(&mut self.reordered));
+        visit("corrupt_frames", Field::U64(&mut self.corrupt_frames));
+        visit("deskew_epochs", Field::U64(&mut self.deskew_epochs));
+        visit("remaps", Field::U64(&mut self.remaps));
+        visit("pause_epochs", Field::U64(&mut self.pause_epochs));
+        visit("lost_lanes", Field::U64(&mut self.lost_lanes));
+        visit("payload_bytes", Field::U64(&mut self.payload_bytes));
+        visit("latency_sum", Field::U128(&mut self.latency_sum));
+        visit("latency_hist", Field::Hist(&mut self.latency_hist));
     }
 }
 
@@ -290,6 +296,19 @@ mod tests {
         assert_eq!(clean.p99(), 2);
         assert_eq!(clean.p999(), 2);
         assert_eq!(lossy.p999(), LAT_BUCKETS - 1);
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        let mut r = TrafficRollup {
+            runs: 2,
+            offered: 9,
+            latency_sum: (1u128 << 90) + 5,
+            ..TrafficRollup::default()
+        };
+        r.record_delivery(3, 100);
+        r.record_loss();
+        assert_eq!(r.fingerprint(), 0x5a46_2ad3_2008_990f);
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! bit-identically.
 //!
 //! Runs execute in batches of [`RUNS_PER_BATCH`] fanned out through
-//! [`TrialPlan::fold`]; after each batch the cumulative rollup is saved
-//! to a [`TrafficStore`] keyed by the config digest, mirroring the
-//! hyperfleet checkpoint protocol: on entry the store is scanned newest
-//! batch first and the sweep resumes after the last valid checkpoint.
+//! [`TrialPlan::fold`] under the shared checkpoint protocol,
+//! [`resume_batches`]: the cumulative rollup is saved to a
+//! [`Checkpoint`] store keyed by [`point_digest`] after each batch, and
+//! on entry the sweep resumes after the newest valid checkpoint.
 //! `stop_after_batches` bounds the batches executed *this invocation*
 //! (the CI kill/resume drill); `Ok(None)` means "stopped early, resume
 //! me".
 
 use crate::harness::{LinkHarness, TrafficConfig};
 use crate::rollup::TrafficRollup;
+use mosaic_sim::checkpoint::{resume_batches, Checkpoint, NoStore};
+use mosaic_sim::digest::Fnv64;
 use mosaic_sim::rng::DetRng;
 use mosaic_sim::sweep::{Exec, TrialPlan};
 use mosaic_units::{MosaicError, Result};
@@ -25,73 +27,44 @@ use mosaic_units::{MosaicError, Result};
 /// Harness runs folded per checkpoint batch.
 pub const RUNS_PER_BATCH: u64 = 4;
 
-/// Checkpoint persistence for a traffic sweep. The bench crate
-/// implements this over the manifest-fragment store; [`NoStore`] runs
-/// without persistence.
-pub trait TrafficStore {
-    /// Load the cumulative rollup checkpointed after `batch`, if present
-    /// and stamped with `digest`.
-    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup>;
-    /// Persist the cumulative rollup after `batch`.
-    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()>;
-}
-
-/// A [`TrafficStore`] that never persists: every sweep starts fresh.
-#[derive(Debug, Default)]
-pub struct NoStore;
-
-impl TrafficStore for NoStore {
-    fn load(&mut self, _batch: u64, _digest: u64) -> Option<TrafficRollup> {
-        None
-    }
-    fn save(&mut self, _batch: u64, _digest: u64, _rollup: &TrafficRollup) -> Result<()> {
-        Ok(())
-    }
-}
-
 /// FNV-1a digest over the full point configuration and seed — the
 /// checkpoint-store key that makes stale checkpoints unloadable.
 pub fn point_digest(cfg: &TrafficConfig, seed: u64, runs: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(seed);
-    mix(runs);
-    mix(cfg.logical as u64);
-    mix(cfg.physical as u64);
-    mix(cfg.am_period as u64);
-    mix(cfg.epochs);
-    mix(u64::from(cfg.retransmit_budget));
-    mix(cfg.replay_window);
-    mix(cfg.max_batch as u64);
-    mix(cfg.faults_per_kilo_epoch.to_bits());
-    mix(cfg.max_fault_duration as u64);
-    mix(cfg.permanent_fraction.to_bits());
-    mix(match cfg.policy {
-        crate::harness::Policy::Static => 1,
-        crate::harness::Policy::Controller => 2,
-        crate::harness::Policy::ControllerHitless => 3,
-    });
-    mix(cfg.degrade.window_bits);
-    mix(cfg.degrade.max_windows as u64);
-    mix(cfg.degrade.suspect_ber.to_bits());
-    mix(cfg.degrade.clear_ber.to_bits());
-    mix(cfg.degrade.quarantine_ber.to_bits());
-    mix(cfg.degrade.suspect_dwell_limit as u64);
-    mix(cfg.degrade.clear_epochs as u64);
-    mix(cfg.degrade.spared_dwell_limit as u64);
-    mix(u64::from(cfg.workload.flows));
-    mix(cfg.workload.deadline_epochs);
-    mix(cfg.workload.base_frame_bytes as u64);
-    mix(crate::workload::kind_tag(cfg.workload.kind).len() as u64);
-    for b in crate::workload::kind_tag(cfg.workload.kind).bytes() {
-        mix(u64::from(b));
+    let mut h = Fnv64::sim();
+    h.word(seed)
+        .word(runs)
+        .word(cfg.logical as u64)
+        .word(cfg.physical as u64)
+        .word(cfg.am_period as u64)
+        .word(cfg.epochs)
+        .word(u64::from(cfg.retransmit_budget))
+        .word(cfg.replay_window)
+        .word(cfg.max_batch as u64)
+        .word(cfg.faults_per_kilo_epoch.to_bits())
+        .word(cfg.max_fault_duration as u64)
+        .word(cfg.permanent_fraction.to_bits())
+        .word(match cfg.policy {
+            crate::harness::Policy::Static => 1,
+            crate::harness::Policy::Controller => 2,
+            crate::harness::Policy::ControllerHitless => 3,
+        })
+        .word(cfg.degrade.window_bits)
+        .word(cfg.degrade.max_windows as u64)
+        .word(cfg.degrade.suspect_ber.to_bits())
+        .word(cfg.degrade.clear_ber.to_bits())
+        .word(cfg.degrade.quarantine_ber.to_bits())
+        .word(cfg.degrade.suspect_dwell_limit as u64)
+        .word(cfg.degrade.clear_epochs as u64)
+        .word(cfg.degrade.spared_dwell_limit as u64)
+        .word(u64::from(cfg.workload.flows))
+        .word(cfg.workload.deadline_epochs)
+        .word(cfg.workload.base_frame_bytes as u64);
+    let kind = crate::workload::kind_tag(cfg.workload.kind);
+    h.word(kind.len() as u64);
+    for b in kind.bytes() {
+        h.word(u64::from(b));
     }
-    h
+    h.finish()
 }
 
 /// Per-run seed: pure in `(point_seed, run)` and *policy-blind*, so the
@@ -116,30 +89,16 @@ pub fn run_point_with(
     seed: u64,
     runs: u64,
     exec: &Exec,
-    store: &mut dyn TrafficStore,
+    store: &mut dyn Checkpoint<TrafficRollup>,
     stop_after_batches: Option<u64>,
 ) -> Result<Option<TrafficRollup>> {
     cfg.validate()?;
     let digest = point_digest(cfg, seed, runs);
     let batches = runs.div_ceil(RUNS_PER_BATCH);
-    let mut cumulative = TrafficRollup::default();
-    let mut start_batch = 0u64;
-    for b in (0..batches).rev() {
-        if let Some(r) = store.load(b, digest) {
-            cumulative = r;
-            start_batch = b + 1;
-            break;
-        }
-    }
-    for (executed, b) in (start_batch..batches).enumerate() {
-        if let Some(limit) = stop_after_batches {
-            if executed as u64 >= limit {
-                return Ok(None);
-            }
-        }
+    let rollup = resume_batches(store, digest, batches, stop_after_batches, |b| {
         let first = b * RUNS_PER_BATCH;
         let count = RUNS_PER_BATCH.min(runs - first);
-        let part = TrialPlan::new()
+        TrialPlan::new()
             .trials(count)
             .seed(seed)
             .label("traffic-point")
@@ -158,36 +117,30 @@ pub fn run_point_with(
                     }
                 },
                 |total, other| total.merge(&other),
-            );
-        cumulative.merge(&part);
-        store.save(b, digest, &cumulative)?;
-    }
-    if cumulative.runs != runs {
-        return Err(MosaicError::invalid_config(
+            )
+    })?;
+    match rollup {
+        Some(r) if r.runs != runs => Err(MosaicError::invalid_config(
             "traffic_runs",
-            format!("expected {} merged runs, got {}", runs, cumulative.runs),
-        ));
+            format!("expected {} merged runs, got {}", runs, r.runs),
+        )),
+        done => Ok(done),
     }
-    Ok(Some(cumulative))
 }
 
 /// [`run_point_with`] without persistence or early stop.
 pub fn run_point(cfg: &TrafficConfig, seed: u64, runs: u64, exec: &Exec) -> Result<TrafficRollup> {
-    match run_point_with(cfg, seed, runs, exec, &mut NoStore, None)? {
-        Some(rollup) => Ok(rollup),
-        // Unreachable: no stop limit was set.
-        None => Err(MosaicError::invalid_config(
-            "traffic_stop",
-            "sweep stopped without a stop limit",
-        )),
-    }
+    // `None` is unreachable: no stop limit was set.
+    run_point_with(cfg, seed, runs, exec, &mut NoStore, None)?.ok_or_else(|| {
+        MosaicError::invalid_config("traffic_stop", "sweep stopped without a stop limit")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::Policy;
-    use std::collections::BTreeMap;
+    use mosaic_sim::checkpoint::MemStore;
 
     fn quick_cfg() -> TrafficConfig {
         TrafficConfig {
@@ -221,6 +174,12 @@ mod tests {
         assert!(rollup.balanced());
     }
 
+    /// The point digest keys every checkpoint on disk.
+    #[test]
+    fn point_digest_is_pinned() {
+        assert_eq!(point_digest(&quick_cfg(), 3, 6), 0xaffc_e913_3deb_9898);
+    }
+
     #[test]
     fn digests_separate_policies_and_seeds() {
         let a = quick_cfg();
@@ -233,22 +192,6 @@ mod tests {
         assert_ne!(point_digest(&a, 1, 4), point_digest(&a, 1, 8));
     }
 
-    /// In-memory store for the resume drill.
-    #[derive(Default)]
-    struct MemStore {
-        map: BTreeMap<(u64, u64), TrafficRollup>,
-    }
-
-    impl TrafficStore for MemStore {
-        fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
-            self.map.get(&(batch, digest)).copied()
-        }
-        fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()> {
-            self.map.insert((batch, digest), *rollup);
-            Ok(())
-        }
-    }
-
     #[test]
     fn kill_and_resume_is_bit_identical() {
         let cfg = quick_cfg();
@@ -258,7 +201,7 @@ mod tests {
         // First invocation: one batch, then "killed".
         let early = run_point_with(&cfg, 9, 10, &exec, &mut store, Some(1)).unwrap();
         assert!(early.is_none());
-        assert!(!store.map.is_empty());
+        assert!(!store.saved.is_empty());
         // Resume to completion.
         let resumed = run_point_with(&cfg, 9, 10, &exec, &mut store, None)
             .unwrap()

@@ -4,13 +4,12 @@
 //! and across merge orders — the exact-integer contract `FleetRollup`
 //! established, upheld for live-traffic accounting.
 
+use mosaic_sim::checkpoint::MemStore;
 use mosaic_sim::sweep::Exec;
 use mosaic_traffic::{
     point_digest, run_one, run_point, run_point_with, Policy, TrafficConfig, TrafficRollup,
-    TrafficStore, RUNS_PER_BATCH,
+    RUNS_PER_BATCH,
 };
-use mosaic_units::Result;
-use std::collections::BTreeMap;
 
 fn point_cfg(policy: Policy) -> TrafficConfig {
     TrafficConfig {
@@ -19,25 +18,6 @@ fn point_cfg(policy: Policy) -> TrafficConfig {
         permanent_fraction: 0.4,
         policy,
         ..TrafficConfig::default()
-    }
-}
-
-/// An in-memory store that records every checkpoint.
-#[derive(Default)]
-struct MemStore {
-    saved: BTreeMap<u64, (u64, TrafficRollup)>,
-}
-
-impl TrafficStore for MemStore {
-    fn load(&mut self, batch: u64, digest: u64) -> Option<TrafficRollup> {
-        self.saved
-            .get(&batch)
-            .filter(|(d, _)| *d == digest)
-            .map(|(_, r)| *r)
-    }
-    fn save(&mut self, batch: u64, digest: u64, rollup: &TrafficRollup) -> Result<()> {
-        self.saved.insert(batch, (digest, *rollup));
-        Ok(())
     }
 }
 
