@@ -371,21 +371,167 @@ impl ReedSolomon {
         Ok(self.finish_decode(word, erasures.len(), scratch))
     }
 
+    /// Decode a bare error pattern in place: `err` is the channel's error
+    /// vector `e` (the received word minus the sent codeword) and
+    /// `support` lists, strictly ascending, every index where `e` may be
+    /// nonzero. Returns exactly the outcome [`ReedSolomon::decode_scratch`]
+    /// returns for `c ⊕ e` with any codeword `c`, and leaves `err` equal to
+    /// that decode's final word minus `c`.
+    ///
+    /// Exactness: RS is linear, so the syndromes of `c ⊕ e` are those of
+    /// `e`, and Berlekamp-Massey, the Chien search and Forney see nothing
+    /// else. The final codeword guard asks whether `e` plus the
+    /// corrections is a codeword, which again does not involve `c`. Only
+    /// the cost differs:
+    /// * syndromes from the support: |support|·2t products, not n·2t;
+    /// * Λ's roots tried at the support positions first. A degree-`deg`
+    ///   Λ has at most `deg` roots, so finding `deg` of them there is the
+    ///   whole Chien result; otherwise the full search runs;
+    /// * the final guard over support ∪ corrected positions, the only
+    ///   symbols that can be nonzero.
+    ///
+    /// Errors on a wrong-length `err` or a support index that is out of
+    /// range or not strictly ascending; never panics. A support that
+    /// misses a nonzero symbol of `err` is a caller bug: the outcome is
+    /// then that of the pattern restricted to the support.
+    pub fn decode_error_pattern(
+        &self,
+        err: &mut [u16],
+        support: &[usize],
+        scratch: &mut DecodeScratch,
+    ) -> Result<DecodeOutcome> {
+        if err.len() != self.n {
+            return Err(MosaicError::LengthMismatch {
+                what: "RS error pattern",
+                expected: self.n,
+                got: err.len(),
+            });
+        }
+        let mut next = 0;
+        for &i in support {
+            if i >= self.n {
+                return Err(MosaicError::IndexOutOfRange {
+                    what: "error support",
+                    index: i,
+                    limit: self.n,
+                });
+            }
+            if i < next {
+                return Err(MosaicError::invalid_code(
+                    "error support must be strictly ascending",
+                ));
+            }
+            next = i + 1;
+        }
+        let s = scratch;
+        if self.sparse_syndromes_into(err, support.iter().copied(), &mut s.synd) {
+            return Ok(DecodeOutcome::Clean);
+        }
+        s.gamma.clear();
+        s.gamma.push(1);
+        let Some(deg) = self.berlekamp_massey(0, s) else {
+            return Ok(DecodeOutcome::Failure);
+        };
+        // Roots at the support, visited by descending index so the powers
+        // p = n−1−index come out ascending, as the Chien loop emits them.
+        s.positions.clear();
+        s.positions.reserve(self.n - self.k);
+        for &i in support.iter().rev() {
+            let p = self.n - 1 - i;
+            if self.field.poly_eval(&s.lambda, self.chien_roots[p]) == 0 {
+                s.positions.push(p);
+            }
+        }
+        if s.positions.len() != deg {
+            self.chien_search(s);
+            if s.positions.len() != deg {
+                return Ok(DecodeOutcome::Failure);
+            }
+        }
+        if !self.forney(s) {
+            return Ok(DecodeOutcome::Failure);
+        }
+        self.apply_corrections(err, s);
+        let n = self.n;
+        let corrected = s
+            .positions
+            .iter()
+            .map(|&p| n - 1 - p)
+            .filter(|i| support.binary_search(i).is_err());
+        if !self.sparse_syndromes_into(err, support.iter().copied().chain(corrected), &mut s.synd) {
+            self.apply_corrections(err, s);
+            return Ok(DecodeOutcome::Failure);
+        }
+        Ok(DecodeOutcome::Corrected(s.positions.len()))
+    }
+
+    /// Syndromes of a word whose nonzero symbols all lie at the distinct
+    /// indices `support`, into `synd`; returns true when all are zero.
+    /// `S_i = Σ word[j]·α^{i·p}` with `p = n−1−j` is the value the Horner
+    /// kernels compute, term by term: GF(2^m) arithmetic is exact, so
+    /// the result is identical.
+    fn sparse_syndromes_into(
+        &self,
+        word: &[u16],
+        support: impl Iterator<Item = usize>,
+        synd: &mut Vec<u16>,
+    ) -> bool {
+        synd.clear();
+        synd.resize(self.n - self.k, 0);
+        for j in support {
+            let v = word[j];
+            if v == 0 {
+                continue;
+            }
+            let x = self.field.alpha_pow(self.n - 1 - j);
+            let mut term = v;
+            for acc in synd.iter_mut() {
+                *acc ^= term;
+                term = self.field.mul(term, x);
+            }
+        }
+        synd.iter().all(|&v| v == 0)
+    }
+
     /// Shared tail of error / errors-and-erasures decoding: Γ-initialized
     /// Berlekamp-Massey, Chien search and Forney on the combined locator.
     /// Expects syndromes in `s.synd` and the erasure locator in `s.gamma`.
+    /// A `Failure` leaves `word` unmodified.
     fn finish_decode(
         &self,
         word: &mut [u16],
         n_erasures: usize,
         s: &mut DecodeScratch,
     ) -> DecodeOutcome {
+        let Some(deg) = self.berlekamp_massey(n_erasures, s) else {
+            return DecodeOutcome::Failure;
+        };
+        self.chien_search(s);
+        if s.positions.len() != deg || !self.forney(s) {
+            return DecodeOutcome::Failure;
+        }
+        self.apply_corrections(word, s);
+        // Guard against miscorrection: the result must be a codeword.
+        // The syndrome buffers are free again at this point. On failure
+        // the corrections come off again (characteristic 2: x ⊕ m ⊕ m = x).
+        if !self.syndromes_into(word, s) {
+            self.apply_corrections(word, s);
+            return DecodeOutcome::Failure;
+        }
+        DecodeOutcome::Corrected(s.positions.len())
+    }
+
+    /// Berlekamp-Massey initialized with the erasure locator in `s.gamma`,
+    /// on the syndromes in `s.synd`, leaving Λ in `s.lambda`. Returns
+    /// Λ's degree, or `None` when it is zero or beyond what the code can
+    /// correct (a detected failure).
+    fn berlekamp_massey(&self, n_erasures: usize, s: &mut DecodeScratch) -> Option<usize> {
         let two_t = self.n - self.k;
 
-        // Berlekamp-Massey initialized with the erasure locator: Λ starts
-        // as Γ, the register length starts at e, and iterations begin at
-        // r = e. With no erasures this is the textbook errors-only BM.
-        // The output Λ is the *combined* locator Ψ = Γ·(error locator).
+        // Λ starts as Γ, the register length starts at e, and iterations
+        // begin at r = e. With no erasures this is the textbook
+        // errors-only BM. The output Λ is the *combined* locator
+        // Ψ = Γ·(error locator).
         let e = n_erasures;
         s.lambda.clear();
         s.lambda.resize(two_t + 1, 0);
@@ -438,25 +584,32 @@ impl ReedSolomon {
         let deg = s.lambda.iter().rposition(|&c| c != 0).unwrap_or(0);
         // 2·errors + erasures ≤ 2t ⇒ deg Ψ = errors + erasures ≤ t + e/2.
         let max_deg = (2 * self.t() + e) / 2;
-        if deg == 0 || deg > max_deg {
-            return DecodeOutcome::Failure;
-        }
+        (deg != 0 && deg <= max_deg).then_some(deg)
+    }
 
-        // Chien search over the n valid positions. A root Λ(α^{−p}) = 0
-        // marks an error at polynomial power p, i.e. word index n−1−p.
-        // `chien_roots[p]` is the precomputed α^{−p} (same `alpha_pow`
-        // expression, evaluated once at construction — see DESIGN §11).
+    /// Chien search over the n valid positions into `s.positions`. A root
+    /// Λ(α^{−p}) = 0 marks an error at polynomial power p, i.e. word
+    /// index n−1−p. `chien_roots[p]` is the precomputed α^{−p} (same
+    /// `alpha_pow` expression, evaluated once at construction — see
+    /// DESIGN §11).
+    fn chien_search(&self, s: &mut DecodeScratch) {
+        // Λ has at most 2t roots: reserving that once means no later
+        // word grows the buffer.
         s.positions.clear();
+        s.positions.reserve(self.n - self.k);
         for (p, &x_inv) in self.chien_roots.iter().enumerate() {
             if self.field.poly_eval(&s.lambda, x_inv) == 0 {
                 s.positions.push(p);
             }
         }
-        if s.positions.len() != deg {
-            return DecodeOutcome::Failure;
-        }
+    }
 
-        // Forney: Ω(x) = S(x)·Λ(x) mod x^{2t}; with b = 0 the magnitude at
+    /// Forney: the magnitude of every error in `s.positions` into
+    /// `s.magnitudes`. Returns false (a detected failure) when Λ′
+    /// vanishes at a position; nothing has been applied to the word then.
+    fn forney(&self, s: &mut DecodeScratch) -> bool {
+        let two_t = self.n - self.k;
+        // Ω(x) = S(x)·Λ(x) mod x^{2t}; with b = 0 the magnitude at
         // location X = α^p is e = X · Ω(X⁻¹) / Λ'(X⁻¹). Computed directly
         // into scratch, accumulating only the surviving (< 2t) terms —
         // the same xors poly_mul-then-truncate performs.
@@ -479,28 +632,29 @@ impl ReedSolomon {
         for i in (1..s.lambda.len()).step_by(2) {
             s.deriv[i - 1] = s.lambda[i];
         }
-
-        let mut corrected = 0usize;
+        s.magnitudes.clear();
+        s.magnitudes.reserve(self.n - self.k);
         for &p in &s.positions {
             let x = self.field.alpha_pow(p);
             let x_inv = self.field.inv(x);
             let denom = self.field.poly_eval(&s.deriv, x_inv);
             if denom == 0 {
-                return DecodeOutcome::Failure;
+                return false;
             }
             let num = self.field.poly_eval(&s.omega, x_inv);
-            let magnitude = self.field.mul(x, self.field.div(num, denom));
+            s.magnitudes
+                .push(self.field.mul(x, self.field.div(num, denom)));
+        }
+        true
+    }
+
+    /// XOR the Forney magnitudes onto `word` at their positions. Applying
+    /// twice restores the word (characteristic 2).
+    fn apply_corrections(&self, word: &mut [u16], s: &DecodeScratch) {
+        for (&p, &magnitude) in s.positions.iter().zip(&s.magnitudes) {
             let idx = self.n - 1 - p;
             word[idx] = self.field.add(word[idx], magnitude);
-            corrected += 1;
         }
-
-        // Guard against miscorrection: the result must be a codeword.
-        // The syndrome buffers are free again at this point.
-        if !self.syndromes_into(word, s) {
-            return DecodeOutcome::Failure;
-        }
-        DecodeOutcome::Corrected(corrected)
     }
 }
 
@@ -617,24 +771,33 @@ pub(crate) mod reference {
         for i in (1..lambda.len()).step_by(2) {
             lambda_deriv[i - 1] = lambda[i];
         }
-        let mut corrected = 0usize;
+        // Every applied correction is recorded so that both failure exits
+        // can XOR it back off: a `Failure` leaves the word unmodified.
+        let mut applied: Vec<(usize, u16)> = Vec::with_capacity(error_powers.len());
+        let undo = |word: &mut [u16], applied: &[(usize, u16)]| {
+            for &(idx, magnitude) in applied {
+                word[idx] = rs.field.add(word[idx], magnitude);
+            }
+        };
         for &p in &error_powers {
             let x = rs.field.alpha_pow(p);
             let x_inv = rs.field.inv(x);
             let denom = rs.field.poly_eval(&lambda_deriv, x_inv);
             if denom == 0 {
+                undo(word, &applied);
                 return DecodeOutcome::Failure;
             }
             let num = rs.field.poly_eval(&omega, x_inv);
             let magnitude = rs.field.mul(x, rs.field.div(num, denom));
             let idx = rs.n - 1 - p;
             word[idx] = rs.field.add(word[idx], magnitude);
-            corrected += 1;
+            applied.push((idx, magnitude));
         }
         if rs.syndromes_unchecked(word).iter().any(|&s| s != 0) {
+            undo(word, &applied);
             return DecodeOutcome::Failure;
         }
-        DecodeOutcome::Corrected(corrected)
+        DecodeOutcome::Corrected(applied.len())
     }
 }
 
@@ -858,6 +1021,46 @@ mod tests {
         assert_eq!(word, clean);
     }
 
+    #[test]
+    fn error_pattern_rejects_malformed_input() {
+        let rs = ReedSolomon::new(8, 31, 23);
+        let mut s = DecodeScratch::new();
+        let mut short = vec![0u16; 30];
+        assert!(rs.decode_error_pattern(&mut short, &[], &mut s).is_err());
+        let mut err = vec![0u16; 31];
+        err[3] = 1;
+        assert!(rs.decode_error_pattern(&mut err, &[31], &mut s).is_err());
+        assert!(rs.decode_error_pattern(&mut err, &[3, 3], &mut s).is_err());
+        assert!(rs.decode_error_pattern(&mut err, &[5, 3], &mut s).is_err());
+        assert_eq!(err[3], 1, "a rejected call leaves the pattern alone");
+        assert_eq!(
+            rs.decode_error_pattern(&mut err, &[3], &mut s).unwrap(),
+            DecodeOutcome::Corrected(1)
+        );
+        assert!(err.iter().all(|&v| v == 0));
+    }
+
+    /// A random codeword of `rs` (nonzero when `nonzero` is set).
+    fn random_codeword(rs: &ReedSolomon, rng: &mut StdRng, nonzero: bool) -> Vec<u16> {
+        let mask = (rs.field().size() - 1) as u16;
+        let mut data: Vec<u16> = (0..rs.k()).map(|_| rng.gen::<u16>() & mask).collect();
+        if nonzero && data.iter().all(|&d| d == 0) {
+            data[0] = 1;
+        }
+        rs.encode(&data)
+    }
+
+    /// The codes the error-pattern oracle runs over: RS(15,11),
+    /// RS(31,23), KR4 and KP4.
+    fn oracle_code(which: usize) -> ReedSolomon {
+        match which {
+            0 => ReedSolomon::new(4, 15, 11),
+            1 => ReedSolomon::new(8, 31, 23),
+            2 => ReedSolomon::kr4(),
+            _ => ReedSolomon::kp4(),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -981,6 +1184,79 @@ mod tests {
             inject_errors(&rs, &mut word, 4, &mut rng);
             prop_assert_eq!(rs.decode(&mut word).unwrap(), DecodeOutcome::Corrected(4));
             prop_assert_eq!(word, clean);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn failure_leaves_the_word_unmodified(seed in 0u64..20_000, extra in 1usize..=7) {
+            // t+1 … 2t+3 random symbol errors on RS(15,11): whenever the
+            // decoder gives up, the word must be exactly what came in —
+            // including when Forney's corrections were already computed.
+            let rs = ReedSolomon::new(4, 15, 11); // t = 2
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut word = random_codeword(&rs, &mut rng, false);
+            inject_errors(&rs, &mut word, rs.t() + extra, &mut rng);
+            let received = word.clone();
+            let out = rs.decode_scratch(&mut word, &mut DecodeScratch::new()).unwrap();
+            if out == DecodeOutcome::Failure {
+                prop_assert_eq!(&word, &received);
+            }
+            let mut word_ref = received.clone();
+            prop_assert_eq!(reference::decode_with_erasures(&rs, &mut word_ref, &[]).unwrap(), out);
+            prop_assert_eq!(word_ref, word);
+        }
+
+        #[test]
+        fn error_pattern_decode_matches_the_codeword_decode(
+            which in 0usize..4,
+            seed in 0u64..100_000,
+            kind in 0usize..4,
+            full_support in any::<bool>(),
+        ) {
+            // decode_error_pattern(e) must equal decode_scratch(c ⊕ e) in
+            // outcome, and its final pattern must be that decode's final
+            // word minus c. Patterns: weight 0 … 2t+3 (kinds 0 and 3),
+            // a pure nonzero codeword (the Clean miscorrection) and a
+            // codeword plus ≤ t errors (the Corrected miscorrection).
+            let rs = oracle_code(which);
+            let (n, t) = (rs.n(), rs.t());
+            let mask = (rs.field().size() - 1) as u16;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut e = match kind {
+                1 => random_codeword(&rs, &mut rng, true),
+                2 => {
+                    let mut e = random_codeword(&rs, &mut rng, true);
+                    let w = rng.gen_range(0..=t);
+                    inject_errors(&rs, &mut e, w, &mut rng);
+                    e
+                }
+                _ => vec![0u16; n],
+            };
+            if kind == 0 || kind == 3 {
+                let w = rng.gen_range(0..=2 * t + 3);
+                let mut pos: Vec<usize> = (0..n).collect();
+                for i in 0..w {
+                    let j = rng.gen_range(i..n);
+                    pos.swap(i, j);
+                    e[pos[i]] = (rng.gen::<u16>() & mask).max(1);
+                }
+            }
+            let support: Vec<usize> = if full_support {
+                (0..n).collect()
+            } else {
+                (0..n).filter(|&i| e[i] != 0).collect()
+            };
+            let c = random_codeword(&rs, &mut rng, false);
+            let mut word: Vec<u16> = c.iter().zip(&e).map(|(a, b)| a ^ b).collect();
+            let dense = rs.decode_scratch(&mut word, &mut DecodeScratch::new()).unwrap();
+            let sparse = rs
+                .decode_error_pattern(&mut e, &support, &mut DecodeScratch::new())
+                .unwrap();
+            prop_assert_eq!(&sparse, &dense);
+            let word_minus_c: Vec<u16> = word.iter().zip(&c).map(|(a, b)| a ^ b).collect();
+            prop_assert_eq!(e, word_minus_c);
         }
     }
 }

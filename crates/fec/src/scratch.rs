@@ -38,6 +38,8 @@ pub struct DecodeScratch {
     pub(crate) deriv: Vec<u16>,
     /// Chien-search hits: error polynomial powers (RS) or bit indices (BCH).
     pub(crate) positions: Vec<usize>,
+    /// Forney error magnitudes, one per entry of `positions` (RS).
+    pub(crate) magnitudes: Vec<u16>,
 }
 
 impl DecodeScratch {

@@ -85,6 +85,27 @@ fn scratch_decode_paths_do_not_allocate() {
         "RS erasure scratch decode allocated {er_allocs} times"
     );
 
+    // --- Error-pattern decode: the same errors without the codeword ----
+    let pattern: Vec<u16> = corrupted.iter().zip(&clean).map(|(a, b)| a ^ b).collect();
+    let support: Vec<usize> = (0..rs.n()).filter(|&i| pattern[i] != 0).collect();
+    let mut err = pattern.clone();
+    rs.decode_error_pattern(&mut err, &support, &mut scratch)
+        .unwrap();
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..50 {
+        err.copy_from_slice(&pattern);
+        let out = rs
+            .decode_error_pattern(&mut err, &support, &mut scratch)
+            .unwrap();
+        assert_eq!(out, DecodeOutcome::Corrected(rs.t()));
+    }
+    let ep_allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        ep_allocs, 0,
+        "RS error-pattern decode allocated {ep_allocs} times"
+    );
+    assert!(err.iter().all(|&v| v == 0));
+
     // --- Encode into a warmed buffer ------------------------------------
     let mut enc = Vec::new();
     rs.try_encode_into(&data, &mut enc).unwrap();

@@ -201,6 +201,11 @@ pub fn default_config() -> Config {
             },
             RegistryFn {
                 file: "crates/fec/src/rs.rs",
+                func: "decode_error_pattern",
+                harness: Some("crates/fec/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/fec/src/rs.rs",
                 func: "try_encode_into",
                 harness: Some("crates/fec/tests/alloc_free.rs"),
             },
@@ -258,6 +263,18 @@ pub fn default_config() -> Config {
             RegistryFn {
                 file: "crates/sim/src/inject.rs",
                 func: "corrupt_symbols",
+                harness: Some("crates/sim/tests/alloc_free.rs"),
+            },
+            RegistryFn {
+                file: "crates/sim/src/inject.rs",
+                func: "corrupt_symbols_tracked",
+                harness: Some("crates/sim/tests/alloc_free.rs"),
+            },
+            // The RS channel's per-codeword step: injection, error-pattern
+            // decode and tally through one warmed per-worker scratch.
+            RegistryFn {
+                file: "crates/sim/src/montecarlo.rs",
+                func: "sparse_codeword",
                 harness: Some("crates/sim/tests/alloc_free.rs"),
             },
             RegistryFn {
@@ -443,11 +460,11 @@ fn exactness_registry() -> Vec<ExactFold> {
             func: "sum",
             proof: "crates/sim/tests/parallel_determinism.rs",
         },
-        // The coded-channel Monte-Carlo fold — u64 error/iteration
-        // counters merged per worker.
+        // The coded-channel Monte-Carlo fold under both RS channels —
+        // u64 error/iteration counters merged per worker.
         ExactFold {
             file: "crates/sim/src/montecarlo.rs",
-            func: "run_rs_channel_with",
+            func: "rs_channel_fold",
             proof: "crates/sim/tests/parallel_determinism.rs",
         },
         // The event-sourced fleet fold — FleetRollup::merge is

@@ -93,7 +93,7 @@ pub struct HyperClass {
     /// per-channel sparing — they run the pure Poisson path).
     pub groups: usize,
     /// Groups carrying traffic; `groups - logical_groups` is the spare
-    /// pool. Must satisfy `0 < logical_groups <= groups <= 64` when
+    /// pool. Must satisfy `0 < logical_groups <= groups` when
     /// `groups > 0`.
     pub logical_groups: usize,
 }
@@ -193,12 +193,6 @@ impl HyperFleetConfig {
                 return Err(MosaicError::invalid_config(
                     "hyperfleet_class_links",
                     format!("class {} has zero links", c.name),
-                ));
-            }
-            if c.groups > 64 {
-                return Err(MosaicError::invalid_config(
-                    "hyperfleet_groups",
-                    format!("class {}: groups {} > 64 (bitmask bound)", c.name, c.groups),
                 ));
             }
             if (c.groups == 0) != (c.logical_groups == 0) || c.logical_groups > c.groups {
@@ -1188,7 +1182,7 @@ mod tests {
     fn validation_catches_bad_configs() {
         let mut cfg = tiny_cfg(FidelityMode::Full);
         assert!(cfg.validate().is_ok());
-        cfg.classes[1].groups = 65;
+        cfg.classes[1].logical_groups = cfg.classes[1].groups + 1;
         assert!(cfg.validate().is_err());
         let mut cfg = tiny_cfg(FidelityMode::Full);
         cfg.classes[1].logical_groups = 0;

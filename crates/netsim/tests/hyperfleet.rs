@@ -83,6 +83,31 @@ fn kill_at_every_batch_boundary_resumes_byte_identically() {
     }
 }
 
+/// The event-driven degrade controller keeps its channel sets in
+/// multi-word bitsets, so a class wider than one 64-bit word must
+/// validate and run like any other: 100 logical of 130 groups.
+#[test]
+fn wide_classes_validate_and_are_thread_invariant() {
+    let mut cfg = fleet_cfg(512, 256, 1.0);
+    cfg.classes[0].groups = 130;
+    cfg.classes[0].logical_groups = 100;
+    cfg.validate().unwrap();
+    let run = |threads| {
+        simulate_with(
+            &cfg,
+            3,
+            &Exec::with_threads(threads),
+            &mut MemStore::default(),
+            None,
+        )
+        .unwrap()
+        .expect("no stop limit was set")
+    };
+    let one = run(1);
+    assert!(one.rollup.channel_faults > 0, "faults must have fired");
+    assert_eq!(run(2).rollup, one.rollup);
+}
+
 /// The config digest keys every checkpoint on disk: a silent change
 /// would orphan checkpoints of a killed run.
 #[test]

@@ -142,13 +142,47 @@ impl BitErrorInjector {
     /// `s` at stream position `s·m + b`): identical RNG draws, identical
     /// flips, no bit-vector round trip. Returns the number of flips.
     pub fn corrupt_symbols(&mut self, symbols: &mut [u16], bits_per_symbol: u32) -> u64 {
+        self.corrupt_symbols_with(symbols, bits_per_symbol, |_| {})
+    }
+
+    /// [`BitErrorInjector::corrupt_symbols`] that also records where it
+    /// flipped: `support` is cleared and refilled with the index of every
+    /// symbol that took at least one flip, strictly ascending. Draws,
+    /// flips and the carried gap are those of `corrupt_symbols` (pinned
+    /// by the `tracked_symbols_path_equals_corrupt_symbols` proptest).
+    pub fn corrupt_symbols_tracked(
+        &mut self,
+        symbols: &mut [u16],
+        bits_per_symbol: u32,
+        support: &mut Vec<usize>,
+    ) -> u64 {
+        support.clear();
+        self.corrupt_symbols_with(symbols, bits_per_symbol, |s| {
+            // Flips arrive in stream order, so a repeat is always the last.
+            if support.last() != Some(&s) {
+                support.push(s);
+            }
+        })
+    }
+
+    /// The geometric-skip loop over a symbol slice, reporting the symbol
+    /// index of every flip to `on_flip`.
+    #[inline(always)]
+    fn corrupt_symbols_with(
+        &mut self,
+        symbols: &mut [u16],
+        bits_per_symbol: u32,
+        mut on_flip: impl FnMut(usize),
+    ) -> u64 {
         let bps = bits_per_symbol as u64;
         let mut flips = 0u64;
         let mut pos = 0u64;
         let n = symbols.len() as u64 * bps;
         while pos + self.gap < n {
             pos += self.gap;
-            symbols[(pos / bps) as usize] ^= 1 << (pos % bps);
+            let s = (pos / bps) as usize;
+            symbols[s] ^= 1 << (pos % bps);
+            on_flip(s);
             flips += 1;
             pos += 1;
             self.gap = self.rng.geometric(self.ber);
@@ -302,6 +336,38 @@ mod tests {
             }
             prop_assert_eq!(inj_syms.bits, inj_bits.bits);
             prop_assert_eq!(inj_syms.errors, inj_bits.errors);
+        }
+
+        #[test]
+        fn tracked_symbols_path_equals_corrupt_symbols(
+            seed in 0u64..200,
+            exp in -4f64..-0.3,
+            m in 3u32..=12,
+            nsyms in 1usize..600,
+            rounds in 1usize..4,
+        ) {
+            // corrupt_symbols_tracked must make corrupt_symbols' draws
+            // and flips and carry the same gap, and its support must be
+            // exactly the symbols that changed, ascending.
+            let ber = 10f64.powf(exp);
+            let mut inj_plain = BitErrorInjector::new(ber, DetRng::new(seed));
+            let mut inj_tracked = BitErrorInjector::new(ber, DetRng::new(seed));
+            let mut support = vec![usize::MAX; 3]; // stale entries must go
+            for _ in 0..rounds {
+                let mut plain = vec![0u16; nsyms];
+                let mut tracked = vec![0u16; nsyms];
+                let fp = inj_plain.corrupt_symbols(&mut plain, m);
+                let ft = inj_tracked.corrupt_symbols_tracked(&mut tracked, m, &mut support);
+                prop_assert_eq!(fp, ft);
+                prop_assert_eq!(&plain, &tracked);
+                let changed: Vec<usize> = (0..nsyms).filter(|&i| tracked[i] != 0).collect();
+                prop_assert_eq!(&support, &changed);
+                prop_assert_eq!(inj_plain.gap, inj_tracked.gap);
+            }
+            prop_assert_eq!(
+                (inj_plain.bits, inj_plain.errors),
+                (inj_tracked.bits, inj_tracked.errors)
+            );
         }
 
         #[test]

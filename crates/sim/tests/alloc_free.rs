@@ -1,18 +1,20 @@
 //! Proof of the "zero heap allocations per Monte-Carlo inner loop" claim
 //! for the bit-sliced kernels: a counting global allocator wraps the
-//! system allocator, and the sliced slicer / injector / scrambler / PRBS
-//! hot paths must not touch it once their buffers are warmed.
+//! system allocator, and the sliced slicer / injector / RS channel step /
+//! scrambler / PRBS hot paths must not touch it once their buffers are
+//! warmed.
 //!
 //! The fec-side twin is `crates/fec/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
 //! Everything runs in a single `#[test]` so no concurrent test can
 //! pollute the process-wide counter.
 
+use mosaic_fec::ReedSolomon;
 use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::LaneStream;
 use mosaic_sim::inject::BitErrorInjector;
-use mosaic_sim::montecarlo::SlicerPoint;
+use mosaic_sim::montecarlo::{CodedRun, RsChannelScratch, SlicerPoint};
 use mosaic_sim::rng::DetRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,6 +102,39 @@ fn sliced_kernel_paths_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "injector kernels allocated {n} times");
+
+    // --- RS channel: the error-pattern codeword step, with the tracked
+    //     injector under it, through a warmed scratch -------------------
+    let kp4 = ReedSolomon::kp4();
+    let mut channel = RsChannelScratch::new();
+    let mut run = CodedRun {
+        codewords: 0,
+        decoded: 0,
+        failures: 0,
+        miscorrected: 0,
+        pre_fec_bit_errors: 0,
+        bits: 0,
+        residual_symbol_errors: 0,
+    };
+    // BER 1e-2 puts ~54 bit errors in every KP4 word (failures, and the
+    // largest supports); 2.4e-4 gives corrected words, which size the
+    // Chien and Forney buffers. Both run in the warm-up.
+    let mut harsh = BitErrorInjector::new(1e-2, DetRng::substream(3, "alloc-free-rs-harsh"));
+    let mut mild = BitErrorInjector::new(2.4e-4, DetRng::substream(3, "alloc-free-rs-mild"));
+    let mut support = Vec::with_capacity(symbols.len());
+    for _ in 0..64 {
+        channel.sparse_codeword(&kp4, &mut harsh, &mut run);
+        channel.sparse_codeword(&kp4, &mut mild, &mut run);
+    }
+    let n = allocs_during(|| {
+        for _ in 0..64 {
+            channel.sparse_codeword(&kp4, &mut harsh, &mut run);
+            channel.sparse_codeword(&kp4, &mut mild, &mut run);
+            total += inj.corrupt_symbols_tracked(&mut symbols, 10, &mut support);
+        }
+    });
+    assert_eq!(n, 0, "RS channel step allocated {n} times");
+    assert!(run.failures > 0 && run.decoded > 0, "{run:?}");
 
     // --- Lane corruption: data runs are corrupted in place ---------------
     let mut lane = LaneStream::new();

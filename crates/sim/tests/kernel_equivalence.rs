@@ -8,12 +8,14 @@
 //! runs the whole figure pipeline under `--features scalar-kernels` and
 //! diffs manifests, but this suite localizes a divergence to a kernel.
 
+use mosaic_fec::ReedSolomon;
 use mosaic_link::prbs::{Prbs, PrbsBank};
 use mosaic_link::scrambler::Scrambler;
 use mosaic_link::striping::LaneStream;
 use mosaic_sim::inject::BitErrorInjector;
-use mosaic_sim::montecarlo::SlicerPoint;
+use mosaic_sim::montecarlo::{run_rs_channel_dense_with, run_rs_channel_sparse_with, SlicerPoint};
 use mosaic_sim::rng::DetRng;
+use mosaic_sim::sweep::Exec;
 use proptest::prelude::*;
 
 /// The boundary counts the issue pins: below/at/above one word, plus a
@@ -90,6 +92,36 @@ fn injector_sliced_matches_scalar_at_boundary_counts() {
     }
 }
 
+/// The codes the RS channel pair runs over: RS(15,11), RS(31,23), KR4
+/// and KP4.
+fn channel_code(which: usize) -> ReedSolomon {
+    match which {
+        0 => ReedSolomon::new(4, 15, 11),
+        1 => ReedSolomon::new(8, 31, 23),
+        2 => ReedSolomon::kr4(),
+        _ => ReedSolomon::kp4(),
+    }
+}
+
+#[test]
+fn rs_channel_sparse_matches_dense_through_miscorrections() {
+    // Weak codes at harsh BERs, so every tally branch of the
+    // error-pattern channel meets the oracle: RS(15,11) fails and
+    // miscorrects often, and one in 16 random words of RS(3,1) over
+    // GF(4) is a codeword, so error patterns that are themselves
+    // codewords (the Clean miscorrection) are common too.
+    let exec = Exec::with_threads(1);
+    for (rs, ber) in [
+        (ReedSolomon::new(4, 15, 11), 5e-2),
+        (ReedSolomon::new(2, 3, 1), 0.2),
+    ] {
+        let dense = run_rs_channel_dense_with(&exec, &rs, ber, 4000, 3);
+        let sparse = run_rs_channel_sparse_with(&exec, &rs, ber, 4000, 3);
+        assert!(dense.failures > 0 && dense.miscorrected > 0, "{dense:?}");
+        assert_eq!(sparse, dense, "RS({}, {})", rs.n(), rs.k());
+    }
+}
+
 proptest! {
     /// Slicer: sliced == scalar for arbitrary bit counts (weighted toward
     /// the word-boundary cases) from arbitrary stream positions.
@@ -109,6 +141,61 @@ proptest! {
             point.count_errors_scalar(bits, &mut rng_r)
         );
         prop_assert_eq!(rng_s.next_u64(), rng_r.next_u64());
+    }
+
+    /// Slicer with rejection vs the scalar loop over random operating
+    /// points: asymmetric thresholds, rail spacings up to 12 sigma, and
+    /// degenerate points where rejection must switch itself off.
+    #[test]
+    fn slicer_rejection_matches_scalar_over_points(
+        seed in any::<u64>(),
+        bits in prop_oneof![Just(1u64), Just(64), Just(65), 1u64..3000],
+        snr in 0.0f64..12.0,
+        skew in -0.95f64..0.95,
+        sigma_ratio in 0.25f64..4.0,
+        degenerate in 0usize..8,
+    ) {
+        let mut point = SlicerPoint {
+            i1: 5e-6 + snr * 1e-6 * sigma_ratio,
+            i0: 5e-6 - snr * 1e-6,
+            s1: 1e-6 * sigma_ratio,
+            s0: 1e-6,
+            threshold: 0.0,
+        };
+        point.threshold = 5e-6 + skew * snr * 1e-6 * if skew > 0.0 { sigma_ratio } else { 1.0 };
+        match degenerate {
+            0 => point.threshold = point.i1 + 1e-7,
+            1 => point.s0 = 0.0,
+            2 => point.s1 = f64::NAN,
+            3 => point.threshold = f64::NAN,
+            _ => {}
+        }
+        let mut rng_s = DetRng::new(seed);
+        let mut rng_r = rng_s.clone();
+        prop_assert_eq!(
+            point.count_errors_sliced(bits, &mut rng_s),
+            point.count_errors_scalar(bits, &mut rng_r)
+        );
+        prop_assert_eq!(rng_s.next_u64(), rng_r.next_u64());
+    }
+
+    /// RS channel: the error-pattern channel must tally every `CodedRun`
+    /// field exactly as the encode-and-decode oracle, across codes,
+    /// BERs up to 5e-2 and codeword counts 0, 1 and 401.
+    #[test]
+    fn rs_channel_sparse_matches_dense(
+        which in 0usize..4,
+        ber in prop_oneof![Just(0.0), Just(1e-4), Just(2.4e-4), Just(5e-2), 1e-5f64..5e-2],
+        codewords in prop_oneof![Just(0u64), Just(1), Just(401)],
+        seed in any::<u64>(),
+        threads in 1usize..=2,
+    ) {
+        let rs = channel_code(which);
+        let exec = Exec::with_threads(threads);
+        prop_assert_eq!(
+            run_rs_channel_sparse_with(&exec, &rs, ber, codewords, seed),
+            run_rs_channel_dense_with(&exec, &rs, ber, codewords, seed)
+        );
     }
 
     /// Corruption under arbitrary fault-campaign masks: a lane stream

@@ -144,23 +144,32 @@ proptest! {
 }
 
 /// Integer-rollup proof for the R6 exactness registry: the coded-channel
-/// fold `run_rs_channel_with` merges per-worker `u64` counters only, so
-/// every counter of `CodedRun` is bit-identical at every thread count.
-/// `mosaic_lint` cross-checks that this test names the registered fold —
-/// removing it (or the mention) is an R6 violation.
+/// fold `rs_channel_fold` (under `run_rs_channel_with` and both of its
+/// channels) merges per-worker `u64` counters only, so every counter of
+/// `CodedRun` is bit-identical at every thread count. `mosaic_lint`
+/// cross-checks that this test names the registered fold — removing it
+/// (or the mention) is an R6 violation.
 #[test]
 fn run_rs_channel_with_counters_are_thread_invariant() {
     use mosaic_fec::rs::ReedSolomon;
-    use mosaic_sim::montecarlo::run_rs_channel_with;
+    use mosaic_sim::montecarlo::{
+        run_rs_channel_dense_with, run_rs_channel_sparse_with, run_rs_channel_with,
+    };
 
     let rs = ReedSolomon::new(8, 31, 23);
     let baseline = run_rs_channel_with(&Exec::with_threads(1), &rs, 2e-2, 400, 11);
     assert!(baseline.codewords == 400 && baseline.bits > 0);
-    for threads in [2, 4, 8] {
-        let run = run_rs_channel_with(&Exec::with_threads(threads), &rs, 2e-2, 400, 11);
-        assert_eq!(
-            run, baseline,
-            "threads={threads}: exact integer fold must be schedule-invariant"
-        );
+    for threads in [1, 2, 4, 8] {
+        let exec = Exec::with_threads(threads);
+        for run in [
+            run_rs_channel_with(&exec, &rs, 2e-2, 400, 11),
+            run_rs_channel_sparse_with(&exec, &rs, 2e-2, 400, 11),
+            run_rs_channel_dense_with(&exec, &rs, 2e-2, 400, 11),
+        ] {
+            assert_eq!(
+                run, baseline,
+                "threads={threads}: exact integer fold must be schedule-invariant"
+            );
+        }
     }
 }
