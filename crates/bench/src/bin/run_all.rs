@@ -149,11 +149,9 @@ fn main() {
                         return;
                     }
                 }
-                telemetry::reset();
                 let start = Stopwatch::start();
-                let output = runner();
+                let (output, snapshot) = telemetry::capture(runner);
                 let wall_ns = start.elapsed().as_nanos() as u64;
-                let snapshot = telemetry::take();
                 executed += 1;
                 println!("[{id}] {title} ({:.1}s)", wall_ns as f64 / 1e9);
                 let record = FigureRecord {

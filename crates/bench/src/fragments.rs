@@ -289,9 +289,8 @@ pub type TrafficRollupStore = FileStore<TrafficRollup>;
 mod tests {
     use super::*;
 
-    // Build the snapshot by hand (fields are public) rather than through
-    // the process-global telemetry collector, so these tests cannot race
-    // with the manifest tests that reset it.
+    // Build the snapshot by hand (fields are public), so every kind of
+    // record — stage timings included — has a fixed value.
     fn sample_record() -> FigureRecord {
         let mut snap = Snapshot::default();
         snap.counters.insert("trials.demo".into(), 42);
@@ -364,6 +363,22 @@ mod tests {
         assert!(load_fragment(&dir, "F1", "quick").is_none());
         clear_fragments(&dir);
         assert!(load_fragment(&dir, "F9", "quick").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn nesting_bombs_are_rejected_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join(format!("mosaic-frag-bomb-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_fragment(&dir, &sample_record(), "quick").unwrap();
+        assert!(load_fragment(&dir, "F9", "quick").is_some());
+        for bomb in [
+            "[".repeat(100_000) + &"]".repeat(100_000),
+            "{\"k\":".repeat(100_000) + &"}".repeat(100_000),
+        ] {
+            std::fs::write(fragment_path(&dir, "F9"), bomb).unwrap();
+            assert!(load_fragment(&dir, "F9", "quick").is_none());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

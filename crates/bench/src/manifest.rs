@@ -562,22 +562,11 @@ mod tests {
     use super::*;
     use mosaic_sim::telemetry;
 
-    // The telemetry collector is process-global; serialize the tests that
-    // reset it so the harness's parallelism cannot interleave them.
-    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        match GUARD.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        }
-    }
-
     fn sample(threads: usize, wall: u64) -> RunManifest {
-        telemetry::reset();
-        telemetry::counter_add("trials.demo", 100);
-        telemetry::record_series("demo.curve", &[1.0, 2.5, -3.0]);
-        let snap = telemetry::take();
+        let ((), snap) = telemetry::capture(|| {
+            telemetry::counter_add("trials.demo", 100);
+            telemetry::record_series("demo.curve", &[1.0, 2.5, -3.0]);
+        });
         RunManifest {
             mode: "quick".into(),
             fidelity: "full".into(),
@@ -598,7 +587,6 @@ mod tests {
     /// A manifest document whose one figure carries the given series map
     /// (name → values), for fidelity-gate tests.
     fn doc_with_series(fidelity: &str, series: &[(&str, &[f64])]) -> Json {
-        let _ = &GUARD; // series built without touching the global collector
         let mut sobj = Json::object();
         for (name, vals) in series {
             sobj = sobj.with(
@@ -628,7 +616,6 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_and_passes_schema() {
-        let _g = locked();
         let m = sample(8, 12345);
         let text = m.to_pretty_string();
         let doc = Json::parse(&text).unwrap();
@@ -637,7 +624,6 @@ mod tests {
 
     #[test]
     fn schema_check_flags_corruption() {
-        let _g = locked();
         let m = sample(8, 12345);
         let mut doc = Json::parse(&m.to_pretty_string()).unwrap();
         doc.set("schema", "bogus/v9");
@@ -647,7 +633,6 @@ mod tests {
 
     #[test]
     fn values_diff_ignores_threads_and_timings() {
-        let _g = locked();
         let a = Json::parse(&sample(1, 999).to_pretty_string()).unwrap();
         let b = Json::parse(&sample(8, 123_456_789).to_pretty_string()).unwrap();
         assert!(!diff(&a, &b, false).is_empty(), "timings must differ");
@@ -656,7 +641,6 @@ mod tests {
 
     #[test]
     fn values_diff_catches_metric_changes() {
-        let _g = locked();
         let a = Json::parse(&sample(1, 1).to_pretty_string()).unwrap();
         let mut m = sample(1, 1);
         m.figures[0].output.push('x');
@@ -670,7 +654,6 @@ mod tests {
 
     #[test]
     fn adaptive_fidelity_changes_the_config_hash_full_does_not() {
-        let _g = locked();
         let full = sample(1, 1);
         let mut adaptive = sample(1, 1);
         adaptive.fidelity = "adaptive".into();
@@ -682,7 +665,6 @@ mod tests {
 
     #[test]
     fn schema_check_validates_fidelity_when_present() {
-        let _g = locked();
         let mut doc = Json::parse(&sample(1, 1).to_pretty_string()).unwrap();
         assert_eq!(schema_check(&doc), Vec::<String>::new());
         let mut run = doc.get("run").unwrap().clone();

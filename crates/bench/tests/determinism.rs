@@ -6,9 +6,9 @@
 //! vs default) and diffs the manifests with `bench-report`.
 //!
 //! One `#[test]` only: the experiments read `MOSAIC_THREADS` from the
-//! environment and share the process-global telemetry collector, and
-//! tests in one binary run concurrently — a second env- or
-//! telemetry-mutating test would race.
+//! environment, and tests in one binary run concurrently — a second
+//! env-mutating test would race. Telemetry needs no such care: each
+//! figure's values come from its own `telemetry::capture`.
 
 #[test]
 fn figure_outputs_are_thread_count_invariant() {
@@ -16,7 +16,7 @@ fn figure_outputs_are_thread_count_invariant() {
     // trial counts, not the determinism contract under test.
     std::env::set_var(mosaic_bench::runcfg::QUICK_ENV, "1");
 
-    // Each figure runs with a fresh telemetry collector; the snapshot's
+    // Each figure runs in its own telemetry capture; the snapshot's
     // values JSON (counters/histograms/series — no timings) rides along
     // with the output text so both get the byte-identical check.
     type Runner = fn() -> String;
@@ -28,12 +28,8 @@ fn figure_outputs_are_thread_count_invariant() {
             ("T2", mosaic_bench::tab2_datacenter::run),
         ];
         figs.map(|(id, runner)| {
-            mosaic_sim::telemetry::reset();
-            let output = runner();
-            let values = mosaic_sim::telemetry::take()
-                .values_json()
-                .to_string_compact();
-            (id, output, values)
+            let (output, snap) = mosaic_sim::telemetry::capture(runner);
+            (id, output, snap.values_json().to_string_compact())
         })
     };
 

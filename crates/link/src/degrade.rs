@@ -25,7 +25,7 @@
 //!
 //! The controller is deliberately telemetry-agnostic: it *records*
 //! [`Transition`]s as plain data and the simulation layer (which owns
-//! the process-global telemetry collector) drains them into counters.
+//! the run-scoped telemetry) drains them into counters.
 //! The dependency points link → sim at the workspace level, so the link
 //! crate cannot call the sim's telemetry directly.
 

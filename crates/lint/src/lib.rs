@@ -1,11 +1,11 @@
 //! `mosaic_lint` — the workspace invariant checker.
 //!
 //! Statically enforces the invariants the runtime crates established:
-//! deterministic iteration (R1), clock/entropy hygiene (R2), scoped
-//! panic-freedom (R3, superseded by R7 for the workspace), allocation-free
-//! Monte-Carlo kernels (R4), seed-stream discipline (R5), exact parallel
-//! reductions (R6), and panic reachability from fallible entry points
-//! (R7). See `rules` for the catalogue, DESIGN.md §9 and §14 for the
+//! deterministic iteration (R1), clock, entropy and ambient-state
+//! hygiene (R2), scoped panic-freedom (R3, superseded by R7 for the
+//! workspace), allocation-free Monte-Carlo kernels (R4), seed-stream
+//! discipline (R5), exact parallel reductions (R6), and panic
+//! reachability from fallible entry points (R7). See `rules` for the catalogue, DESIGN.md §9 and §14 for the
 //! methodology, and `cargo run -p mosaic_lint` for the driver.
 //!
 //! The engine is dependency-free (the build environment vendors

@@ -8,11 +8,12 @@
 //!   sorted drains are the sanctioned forms. (The rule is conservative:
 //!   even lookup-only maps are flagged, because a later `iter()` is one
 //!   edit away — annotate if lookup-only use is truly needed.)
-//! * **R2 — clock and entropy hygiene**: no `Instant`, `SystemTime`,
-//!   `thread_rng`, or `rand::random` outside `mosaic_sim::telemetry` —
-//!   wall time flows through `telemetry::Stopwatch`/`stage` (reported as
-//!   advisory timings, never values) and randomness through counter-based
-//!   `DetRng` streams.
+//! * **R2 — clock, entropy and ambient-state hygiene**: no `Instant`,
+//!   `SystemTime`, `thread_rng`, `rand::random`, `thread_local!` or
+//!   interior-mutable `static` outside `mosaic_sim::telemetry` — wall
+//!   time flows through `telemetry::Stopwatch`/`stage` (reported as
+//!   advisory timings, never values), randomness through counter-based
+//!   `DetRng` streams, and state is passed in.
 //! * **R3 — scoped panic-freedom**: no `unwrap`/`expect`/`panic!` (and
 //!   the `unreachable!`/`todo!`/`unimplemented!` family) in an explicit
 //!   file-list scope. Superseded in the default catalogue by R7's
@@ -500,6 +501,10 @@ const R4_BANNED: &[(&[&str], &str)] = &[
     (&["vec", "!"], "vec!"),
 ];
 
+/// Interior-mutable types that make a `static` ambient mutable state
+/// (R2); `Atomic*` types match by prefix.
+const R2_AMBIENT_TYPES: &[&str] = &["Mutex", "RwLock", "OnceLock", "LazyLock", "Cell", "RefCell"];
+
 /// Panicking constructs R3/R7 deny.
 pub const R3_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -573,6 +578,37 @@ pub fn local_findings(
                     message:
                         "rand::random draws from ambient entropy; derive a DetRng stream instead"
                             .into(),
+                });
+            }
+            // Ambient mutable state: `thread_local!`, or a `static [mut]
+            // NAME: Type` whose type names an interior-mutable type.
+            let name = i + 1 + usize::from(ident(i + 1) == Some("mut"));
+            let ambient = if ident(i) == Some("thread_local") && sym(i + 1, '!') {
+                Some("thread_local!".to_string())
+            } else if ident(i) == Some("static") && ident(name).is_some() && sym(name + 1, ':') {
+                toks[name + 2..]
+                    .iter()
+                    .take_while(|t| !matches!(t.tok, Tok::Sym('=' | ';')))
+                    .find_map(|t| match &t.tok {
+                        Tok::Ident(ty)
+                            if R2_AMBIENT_TYPES.contains(&ty.as_str())
+                                || ty.starts_with("Atomic") =>
+                        {
+                            Some(format!("static {} ({ty})", ident(name)?))
+                        }
+                        _ => None,
+                    })
+            } else {
+                None
+            };
+            if let Some(what) = ambient {
+                findings.push(LocalFinding {
+                    rule: "R2".into(),
+                    line,
+                    message: format!(
+                        "{what} is ambient mutable state outside mosaic_sim::telemetry; \
+                         pass the state in, or record through telemetry::capture"
+                    ),
                 });
             }
         }
@@ -836,6 +872,20 @@ mod tests {
         let src = "fn f() { let t = Instant::now(); let r = rand::random::<u8>(); }";
         let rules: Vec<_> = denies(src).into_iter().map(|(r, _)| r).collect();
         assert_eq!(rules, vec!["R2", "R2"]);
+    }
+
+    #[test]
+    fn r2_flags_ambient_mutable_state() {
+        let src = "static A: AtomicU64 = AtomicU64::new(0);\n\
+                   static mut B: Option<std::sync::Mutex<u8>> = None;\n\
+                   thread_local! { static C: u8 = 0; }\n\
+                   static D: [u32; 4] = [0; 4];\n\
+                   fn f(x: &'static str) -> Box<dyn Fn() + 'static> { todo_free(x) }\n\
+                   #[cfg(test)]\nmod t { static E: std::cell::Cell<u8> = Cell::new(0); }";
+        assert_eq!(
+            denies(src),
+            vec![("R2".into(), 1), ("R2".into(), 2), ("R2".into(), 3)]
+        );
     }
 
     #[test]

@@ -133,8 +133,9 @@ fn r2_fail_pins_diagnostics() {
     let r = lint_fixture("r2_fail", &only_r2());
     assert_eq!(
         r.deny_count(),
-        3,
-        "import, now(), rand::random: {}",
+        7,
+        "import, now(), rand::random, atomic and OnceLock statics, \
+         thread_local! and the RefCell static inside it: {}",
         r.to_table()
     );
     assert!(r.diagnostics.iter().all(|d| d.rule == "R2"));

@@ -182,8 +182,10 @@ pub fn run_campaign(
     {
         Some(ctl) => {
             let drained = ctl.drain_transitions();
-            for t in &drained {
-                telemetry::counter_add(&format!("campaign.transition.{}", state_tag(t.to)), 1);
+            if telemetry::active() {
+                for t in &drained {
+                    telemetry::counter_add(&format!("campaign.transition.{}", state_tag(t.to)), 1);
+                }
             }
             if ctl.spares_activated() > 0 {
                 telemetry::counter_add("campaign.spares_activated", ctl.spares_activated() as u64);
@@ -241,7 +243,6 @@ mod tests {
 
     #[test]
     fn fault_free_campaign_delivers_everything() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let out = run_campaign(&cfg(0.0, true), 1).unwrap();
         assert!((out.delivered_fraction - 1.0).abs() < 1e-12, "{out:?}");
         assert_eq!(out.availability, 1.0);
@@ -251,7 +252,6 @@ mod tests {
 
     #[test]
     fn controller_beats_static_map_under_faults() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         // Permanent-heavy fault mix: this is the regime sparing exists
         // for (dead channels stay dead under a static map).
         let mk = |controller| CampaignRunConfig {
@@ -279,7 +279,6 @@ mod tests {
 
     #[test]
     fn outcome_is_reproducible() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let a = run_campaign(&cfg(3.0, true), 5).unwrap();
         let b = run_campaign(&cfg(3.0, true), 5).unwrap();
         assert_eq!(a, b);

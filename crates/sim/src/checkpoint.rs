@@ -385,6 +385,22 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bombs_are_rejected_not_a_stack_overflow() {
+        let dir = temp_dir("bomb");
+        let mut store = FileStore::<Toy>::new(&dir, "t");
+        store.save(0, 5, &toy(1)).unwrap();
+        assert_eq!(store.load(0, 5), Some(toy(1)));
+        for bomb in [
+            "[".repeat(100_000) + &"]".repeat(100_000),
+            "{\"k\":".repeat(100_000) + &"}".repeat(100_000),
+        ] {
+            std::fs::write(store.path(0), bomb).unwrap();
+            assert_eq!(store.load(0, 5), None);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn decode_rejects_damaged_fields() {
         let good = encode(4, 9, &toy(3));
         assert_eq!(decode::<Toy>(&good, 4, 9), Ok(toy(3)));

@@ -276,7 +276,7 @@ impl FidelityController {
     /// gate-excluded `fidelity.` prefix): per-tier decision counts and
     /// the trials saved against the full budget.
     pub fn note_decision(&self, full_trials: u64, d: &TierDecision) {
-        if self.mode != FidelityMode::Adaptive {
+        if self.mode != FidelityMode::Adaptive || !crate::telemetry::active() {
             return;
         }
         crate::telemetry::counter_add(&format!("fidelity.tier.{}", d.tier.name()), 1);
@@ -594,7 +594,6 @@ mod tests {
 
     #[test]
     fn tail_estimate_is_unbiased_against_the_closed_tail() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         // d = 6 → Q(6) ≈ 9.87e-10: invisible to naive MC at any sane
         // budget, pinned to ~1 % by a quarter-million tilted draws.
         let t = TailBer { d1: 6.0, d0: 6.0 };
@@ -615,7 +614,6 @@ mod tests {
 
     #[test]
     fn tail_estimate_is_thread_count_invariant() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let t = TailBer { d1: 7.5, d0: 7.2 };
         let base = t.estimate_with(&Exec::with_threads(1), 16, 512, 3, "tail-det");
         for threads in [2, 8] {

@@ -11,6 +11,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts: far above the
+/// ~6 levels of the manifests, fragments and checkpoints the workspace
+/// writes, and far below what would overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -165,11 +170,13 @@ impl Json {
     }
 
     /// Parse a JSON document. The whole input must be one value (plus
-    /// surrounding whitespace).
+    /// surrounding whitespace), with arrays and objects nested at most
+    /// 128 deep; deeper input is an error, never a stack overflow.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -282,6 +289,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -321,11 +330,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, up to [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nest more than {MAX_DEPTH} deep"
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -542,6 +567,28 @@ mod tests {
         assert!(Json::parse("[1,2,]x").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"k\":".repeat(depth - 1) + "{}" + &"}".repeat(depth - 1);
+        // At the limit both shapes parse; one level more is an error.
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // A 100,000-deep bomb (arrays, objects, unterminated) is an
+        // error at the first level too deep, not a stack overflow.
+        for (doc, level_len) in [
+            (arrays(100_000), 1),
+            (objects(100_000), 5),
+            ("[".repeat(100_000), 1),
+        ] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.message.contains("nest more than 128"), "{err}");
+            assert_eq!(err.offset, MAX_DEPTH * level_len);
+        }
     }
 
     #[test]

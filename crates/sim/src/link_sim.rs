@@ -401,7 +401,6 @@ mod tests {
 
     #[test]
     fn clean_link_delivers_all_frames() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let r = simulate_link(&LinkSimConfig::small_clean());
         assert_eq!(r.frames_sent, 64);
         assert_eq!(r.frames_delivered, 64);
@@ -411,7 +410,6 @@ mod tests {
 
     #[test]
     fn deterministic_for_seed() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         let a = simulate_link(&cfg);
@@ -421,7 +419,6 @@ mod tests {
 
     #[test]
     fn report_is_thread_count_invariant() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         cfg.epochs = 6;
@@ -445,7 +442,6 @@ mod tests {
 
     #[test]
     fn noisy_link_loses_frames_but_never_lies() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
         cfg.epochs = 6;
@@ -460,7 +456,6 @@ mod tests {
 
     #[test]
     fn kill_with_spares_recovers_after_one_epoch() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 6;
         cfg.faults = FaultSchedule::new().at(2, Fault::Kill { channel: 3 });
@@ -482,7 +477,6 @@ mod tests {
 
     #[test]
     fn burst_elevates_then_recovers() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 8;
         cfg.faults = FaultSchedule::new().at(
@@ -502,7 +496,6 @@ mod tests {
 
     #[test]
     fn monitor_retires_persistently_bad_channel() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 10;
         cfg.frames_per_epoch = 8;
@@ -518,7 +511,6 @@ mod tests {
 
     #[test]
     fn kill_without_spares_takes_link_down() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let mut cfg = LinkSimConfig::small_clean();
         cfg.physical_channels = 8; // no spares
         cfg.per_channel_ber = vec![0.0; 8];
@@ -533,7 +525,6 @@ mod tests {
 
     #[test]
     fn full_fidelity_link_sim_is_untouched() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
         cfg.per_channel_ber = vec![1e-4; 10];
@@ -545,7 +536,6 @@ mod tests {
 
     #[test]
     fn adaptive_link_sim_keeps_the_fault_span_and_is_thread_invariant() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 40;
@@ -565,7 +555,6 @@ mod tests {
 
     #[test]
     fn adaptive_link_sim_spends_epochs_on_resolvable_noise() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         use crate::fidelity::{FidelityController, FidelityMode};
         let mut cfg = LinkSimConfig::small_clean();
         cfg.epochs = 40;

@@ -811,7 +811,6 @@ mod tests {
 
     #[test]
     fn ook_par_is_thread_count_invariant() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let rx = mosaic_rx();
         let p = rx.sensitivity(1e-3).unwrap();
         // Non-multiple of the chunk size to exercise the short tail chunk.

@@ -6,7 +6,6 @@
 //! budgets, fidelity hints) lives in [`super::scheduler`], and the
 //! panic-tolerant retry machinery in [`super::resilience`].
 
-use crate::telemetry::Stopwatch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -137,69 +136,7 @@ impl Exec {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.threads == 1 || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => out.push(v),
-                    Err(p) => {
-                        return Err(mosaic_units::MosaicError::WorkerFailed {
-                            worker: 0,
-                            message: panic_message(p),
-                        })
-                    }
-                }
-            }
-            return Ok(out);
-        }
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
-        // (task index, worker index, message) of observed panics.
-        let mut failures: Vec<(usize, usize, String)> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, T)> = Vec::new();
-                        let mut failure: Option<(usize, String)> = None;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                                Ok(v) => out.push((i, v)),
-                                Err(p) => {
-                                    failure = Some((i, panic_message(p)));
-                                    break;
-                                }
-                            }
-                        }
-                        (out, failure)
-                    })
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, failure)) => {
-                        tagged.extend(out);
-                        if let Some((task, message)) = failure {
-                            failures.push((task, w, message));
-                        }
-                    }
-                    // A panic that escaped catch_unwind (foreign
-                    // unwinding, `panic = "abort"` payloads) still joins
-                    // as Err; fold it in rather than re-panicking.
-                    Err(p) => failures.push((usize::MAX, w, panic_message(p))),
-                }
-            }
-        });
-        if let Some((_, worker, message)) = failures.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-            return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
-        }
-        tagged.sort_unstable_by_key(|(i, _)| *i);
-        Ok(tagged.into_iter().map(|(_, v)| v).collect())
+        self.try_run_tasks_with(n, || (), |i, _| f(i))
     }
 
     /// Fallible task fan-out with one reusable scratch state per *worker*
@@ -225,78 +162,23 @@ impl Exec {
         FS: Fn() -> S + Sync,
         F: Fn(usize, &mut S) -> T + Sync,
     {
-        if self.threads == 1 || n <= 1 {
-            return match catch_unwind(AssertUnwindSafe(|| {
-                let mut state = make_state();
-                (0..n).map(|i| f(i, &mut state)).collect::<Vec<T>>()
-            })) {
-                Ok(v) => Ok(v),
-                Err(p) => Err(mosaic_units::MosaicError::WorkerFailed {
-                    worker: 0,
-                    message: panic_message(p),
-                }),
-            };
-        }
-        let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
         let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
-        let mut failures: Vec<(usize, usize, String)> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, T)> = Vec::new();
-                        let mut failure: Option<(usize, String)> = None;
-                        let mut state = match catch_unwind(AssertUnwindSafe(&make_state)) {
-                            Ok(state) => state,
-                            Err(p) => {
-                                // A dead make_state fails before claiming
-                                // any task; report it at index 0 so it
-                                // always wins failure selection.
-                                return (out, Some((0, panic_message(p))));
-                            }
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| f(i, &mut state))) {
-                                Ok(v) => out.push((i, v)),
-                                Err(p) => {
-                                    failure = Some((i, panic_message(p)));
-                                    break;
-                                }
-                            }
-                        }
-                        (out, failure)
-                    })
-                })
-                .collect();
-            for (w, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((out, failure)) => {
-                        tagged.extend(out);
-                        if let Some((task, message)) = failure {
-                            failures.push((task, w, message));
-                        }
-                    }
-                    Err(p) => failures.push((usize::MAX, w, panic_message(p))),
-                }
-            }
-        });
-        if let Some((_, worker, message)) = failures.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-            return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
-        }
+        self.fan_out(
+            n,
+            make_state,
+            Vec::new,
+            |i, state, out| out.push((i, f(i, state))),
+            |out| tagged.extend(out),
+        )?;
         tagged.sort_unstable_by_key(|(i, _)| *i);
         Ok(tagged.into_iter().map(|(_, v)| v).collect())
     }
 
     /// Fold `n` independent tasks straight into an accumulator — no
     /// intermediate per-task collection — with one reusable scratch state
-    /// per worker. `make_acc` builds each worker's accumulator (and the
-    /// merge target); `f(i, &mut state, &mut acc)` folds task `i`; worker
-    /// accumulators merge at join time.
+    /// per worker. `make_acc` builds each worker's accumulator (it must
+    /// be `merge`'s identity); `f(i, &mut state, &mut acc)` folds task
+    /// `i`; worker accumulators merge into the first one at join time.
     ///
     /// **Determinism contract**: workers fold whichever task indices they
     /// claim, so the fold and `merge` must be *exactly* commutative and
@@ -351,65 +233,100 @@ impl Exec {
         F: Fn(usize, &mut S, &mut A) + Sync,
         M: Fn(&mut A, A),
     {
+        let mut total: Option<A> = None;
+        self.fan_out(n, make_state, &make_acc, f, |acc| match &mut total {
+            Some(total) => merge(total, acc),
+            None => total = Some(acc),
+        })?;
+        Ok(total.unwrap_or_else(make_acc))
+    }
+
+    /// The one worker pool behind every `try_*` fan-out. Each worker
+    /// builds a scratch state and an output with `make_state` and
+    /// `make_out`, then claims task indices off an atomic counter and
+    /// folds each through `step`; `collect` receives every worker's
+    /// output, in worker order, on the calling thread. Workers record
+    /// telemetry into the caller's sink.
+    ///
+    /// Failure selection: a panicking `step` reports its task index, a
+    /// panicking `make_state`/`make_out` reports index 0 (it fails
+    /// before claiming any task), and a worker whose join fails reports
+    /// `usize::MAX`; the smallest index wins, ties going to the lowest
+    /// worker. On failure the outputs collected so far are partial and
+    /// the caller discards them. One worker (or at most one task) runs
+    /// inline on the calling thread, without spawning.
+    fn fan_out<S, O, FS, FO, F, C>(
+        &self,
+        n: usize,
+        make_state: FS,
+        make_out: FO,
+        step: F,
+        mut collect: C,
+    ) -> mosaic_units::Result<()>
+    where
+        O: Send,
+        FS: Fn() -> S + Sync,
+        FO: Fn() -> O + Sync,
+        F: Fn(usize, &mut S, &mut O) + Sync,
+        C: FnMut(O),
+    {
+        let failed = |worker, p| mosaic_units::MosaicError::WorkerFailed {
+            worker,
+            message: panic_message(p),
+        };
         if self.threads == 1 || n <= 1 {
-            return match catch_unwind(AssertUnwindSafe(|| {
-                let mut state = make_state();
-                let mut acc = make_acc();
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                let (mut state, mut out) = (make_state(), make_out());
                 for i in 0..n {
-                    f(i, &mut state, &mut acc);
+                    step(i, &mut state, &mut out);
                 }
-                acc
-            })) {
-                Ok(acc) => Ok(acc),
-                Err(p) => Err(mosaic_units::MosaicError::WorkerFailed {
-                    worker: 0,
-                    message: panic_message(p),
-                }),
-            };
+                out
+            }))
+            .map_err(|p| failed(0, p))?;
+            collect(out);
+            return Ok(());
         }
         let workers = self.threads.min(n);
         let next = AtomicUsize::new(0);
-        let mut total = make_acc();
-        let mut failures: Vec<(usize, usize, String)> = Vec::new();
+        // (task index, worker index, panic payload) of observed failures.
+        let mut failures = Vec::new();
+        let sink = crate::telemetry::current();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
+                    let sink = sink.clone();
                     s.spawn(|| {
-                        let mut state = match catch_unwind(AssertUnwindSafe(&make_state)) {
-                            Ok(state) => state,
-                            Err(p) => return Err((0usize, panic_message(p))),
-                        };
-                        let mut acc = match catch_unwind(AssertUnwindSafe(&make_acc)) {
-                            Ok(acc) => acc,
-                            Err(p) => return Err((0usize, panic_message(p))),
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
+                        crate::telemetry::with_sink(sink, || {
+                            let (mut state, mut out) =
+                                catch_unwind(AssertUnwindSafe(|| (make_state(), make_out())))
+                                    .map_err(|p| (0, p))?;
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= n {
+                                    return Ok(out);
+                                }
+                                catch_unwind(AssertUnwindSafe(|| step(i, &mut state, &mut out)))
+                                    .map_err(|p| (i, p))?;
                             }
-                            if let Err(p) =
-                                catch_unwind(AssertUnwindSafe(|| f(i, &mut state, &mut acc)))
-                            {
-                                return Err((i, panic_message(p)));
-                            }
-                        }
-                        Ok(acc)
+                        })
                     })
                 })
                 .collect();
             for (w, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(Ok(acc)) => merge(&mut total, acc),
-                    Ok(Err((task, message))) => failures.push((task, w, message)),
-                    Err(p) => failures.push((usize::MAX, w, panic_message(p))),
+                    Ok(Ok(out)) => collect(out),
+                    Ok(Err((task, p))) => failures.push((task, w, p)),
+                    // A panic that escaped catch_unwind (foreign
+                    // unwinding) still joins as Err; fold it in rather
+                    // than re-panicking.
+                    Err(p) => failures.push((usize::MAX, w, p)),
                 }
             }
         });
-        if let Some((_, worker, message)) = failures.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-            return Err(mosaic_units::MosaicError::WorkerFailed { worker, message });
+        match failures.into_iter().min_by_key(|&(task, _, _)| task) {
+            Some((_, worker, p)) => Err(failed(worker, p)),
+            None => Ok(()),
         }
-        Ok(total)
     }
 
     /// Parameter sweep: map `f` over `points`, in parallel, preserving
@@ -439,13 +356,17 @@ impl Exec {
             return;
         }
         let chunk = n.div_ceil(self.threads.min(n));
+        let sink = crate::telemetry::current();
         std::thread::scope(|s| {
             for (ci, block) in items.chunks_mut(chunk).enumerate() {
                 let f = &f;
+                let sink = sink.clone();
                 s.spawn(move || {
-                    for (j, item) in block.iter_mut().enumerate() {
-                        f(ci * chunk + j, item);
-                    }
+                    crate::telemetry::with_sink(sink, || {
+                        for (j, item) in block.iter_mut().enumerate() {
+                            f(ci * chunk + j, item);
+                        }
+                    })
                 });
             }
         });
@@ -525,21 +446,6 @@ impl RunStats {
     }
 }
 
-/// Run `f`, timing it into a [`RunStats`] with the given trial count and
-/// the ambient thread configuration. Also records a `measured` telemetry
-/// stage so manifest timings cover figure-level work.
-pub fn measured<T>(trials: u64, f: impl FnOnce() -> T) -> (T, RunStats) {
-    measured_as("measured", trials, f)
-}
-
-/// [`measured`] with an explicit telemetry stage label.
-pub fn measured_as<T>(label: &str, trials: u64, f: impl FnOnce() -> T) -> (T, RunStats) {
-    let threads = Exec::from_env().threads();
-    let start = Stopwatch::start();
-    let out = crate::telemetry::stage(label, trials, f);
-    (out, RunStats::new(trials, start.elapsed(), threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,18 +511,6 @@ mod tests {
             let sum: u64 = (0..n).map(|i| chunk_len(i, total, chunk)).sum();
             assert_eq!(sum, total, "total={total} chunk={chunk}");
         }
-    }
-
-    #[test]
-    fn measured_counts_and_times() {
-        let _telemetry = crate::telemetry::test_guard::shared();
-        let (v, stats) = measured(42, || 7u32);
-        assert_eq!(v, 7);
-        assert_eq!(stats.trials, 42);
-        assert!(stats.trials_per_sec() > 0.0);
-        assert_eq!(stats.panics, 0);
-        assert_eq!(stats.failed_trials, 0);
-        stats.report("selftest");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Split into three layers:
 //!
-//! - [`engine`] — the [`Exec`] worker pool: scoped threads, atomic
-//!   self-scheduling, fallible `try_*` task execution, commutative
-//!   folds, chunk helpers, and [`RunStats`].
+//! - [`engine`] — the [`Exec`] worker pool: one fan-out core (scoped
+//!   threads, atomic self-scheduling, panic capture, failure selection,
+//!   telemetry sink inheritance) behind the fallible `try_*` task
+//!   execution and commutative folds, plus chunk helpers and
+//!   [`RunStats`].
 //! - [`resilience`] — panic-tolerant retries: [`TrialFailure`],
 //!   [`ResilientRun`], and the bounded per-trial retry loop.
 //! - [`scheduler`] — the [`TrialPlan`] builder API (trials, seed, label,
@@ -26,6 +28,6 @@ pub mod engine;
 pub mod resilience;
 pub mod scheduler;
 
-pub use engine::{chunk_count, chunk_len, measured, measured_as, Exec, RunStats, THREADS_ENV};
+pub use engine::{chunk_count, chunk_len, Exec, RunStats, THREADS_ENV};
 pub use resilience::{ResilientRun, TrialFailure};
 pub use scheduler::{FidelityHint, TrialCtx, TrialPlan};

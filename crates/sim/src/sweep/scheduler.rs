@@ -20,8 +20,9 @@
 //! families like `"rs-data"`/`"rs-noise"`).
 //!
 //! **Telemetry is label opt-in**: a plan with a label records the
-//! `trials.{label}` counter and a `par_trials.{label}` stage; an
-//! unlabelled plan records nothing.
+//! `trials.{label}` counter and a `par_trials.{label}` stage into the
+//! enclosing `telemetry::capture`; an unlabelled plan, or one run
+//! outside any capture, records nothing and formats no metric name.
 
 use super::engine::Exec;
 use super::resilience::{self, ResilientRun};
@@ -176,14 +177,20 @@ impl<'a> TrialPlan<'a> {
         self.label.unwrap_or("")
     }
 
+    /// The label, when the plan has one and a capture is listening —
+    /// the only case in which a metric name is worth formatting.
+    fn telemetry_label(&self) -> Option<&'a str> {
+        self.label.filter(|_| crate::telemetry::active())
+    }
+
     fn record_trials(&self) {
-        if let Some(label) = self.label {
+        if let Some(label) = self.telemetry_label() {
             crate::telemetry::counter_add(&format!("trials.{label}"), self.trials);
         }
     }
 
     fn staged<T>(&self, f: impl FnOnce() -> T) -> T {
-        match self.label {
+        match self.telemetry_label() {
             Some(label) => crate::telemetry::stage(&format!("par_trials.{label}"), self.trials, f),
             None => f(),
         }
@@ -332,7 +339,7 @@ impl<'a> TrialPlan<'a> {
         // Fault counters are deterministic (which (trial, attempt) pairs
         // panic is a property of the closure), so they are safe to put in
         // value-checked telemetry.
-        if let Some(label) = self.label {
+        if let Some(label) = self.telemetry_label() {
             if run.stats.panics > 0 {
                 crate::telemetry::counter_add(&format!("trial_panics.{label}"), run.stats.panics);
             }
@@ -365,7 +372,6 @@ mod tests {
 
     #[test]
     fn plan_streams_are_per_trial_and_match_direct_derivation() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let exec = Exec::with_threads(4);
         let draws = TrialPlan::new()
             .trials(16)
@@ -401,7 +407,6 @@ mod tests {
 
     #[test]
     fn plan_sum_matches_plan_run() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let seq: u64 = TrialPlan::new()
             .trials(40)
             .seed(7)
@@ -444,32 +449,26 @@ mod tests {
 
     #[test]
     fn plan_telemetry_is_label_opt_in() {
-        let _telemetry = crate::telemetry::test_guard::exclusive();
         let exec = Exec::with_threads(2);
         let label = "sched-telemetry-probe";
-        let key = format!("trials.{label}");
-        let before = crate::telemetry::snapshot()
-            .counters
-            .get(&key)
-            .copied()
-            .unwrap_or(0);
-        TrialPlan::new()
-            .trials(13)
-            .seed(1)
-            .label(label)
-            .run(&exec, |ctx| ctx.trial());
-        let after = crate::telemetry::snapshot()
-            .counters
-            .get(&key)
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(after - before, 13, "labelled plan must bump trials.{label}");
+        let (_, snap) = crate::telemetry::capture(|| {
+            TrialPlan::new()
+                .trials(13)
+                .seed(1)
+                .label(label)
+                .run(&exec, |ctx| ctx.trial())
+        });
+        assert_eq!(
+            snap.counters.get(&format!("trials.{label}")),
+            Some(&13),
+            "labelled plan must bump trials.{label}"
+        );
+        assert_eq!(snap.stages.len(), 1);
 
         // Unlabelled plans record nothing.
-        let counters_before = crate::telemetry::snapshot().counters;
-        TrialPlan::new().trials(5).run(&exec, |ctx| ctx.trial());
-        let counters_after = crate::telemetry::snapshot().counters;
-        assert_eq!(counters_before, counters_after);
+        let (_, snap) =
+            crate::telemetry::capture(|| TrialPlan::new().trials(5).run(&exec, |ctx| ctx.trial()));
+        assert_eq!(snap, crate::telemetry::Snapshot::default());
     }
 
     #[test]
@@ -481,7 +480,6 @@ mod tests {
 
     #[test]
     fn plan_resilient_retry_uses_fresh_substream_deterministically() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         // Trial 7 panics on attempt 0 only; its retry must draw from the
         // "{label}#retry1" substream, identically at every thread count.
         let run_at = |threads: usize| {
@@ -522,7 +520,6 @@ mod tests {
 
     #[test]
     fn plan_resilient_budget_exhaustion_yields_none() {
-        let _telemetry = crate::telemetry::test_guard::shared();
         let run = TrialPlan::new()
             .trials(16)
             .seed(3)

@@ -2,27 +2,30 @@
 //! per-stage timers.
 //!
 //! Every figure pipeline and Monte-Carlo driver records what it did into
-//! a process-global collector; `run_all` snapshots the collector per
-//! experiment and folds the snapshots into the run manifest. Two design
-//! rules keep the data trustworthy:
+//! the sink of the run that asked: [`capture`] scopes a fresh sink to one
+//! closure and the sweep workers it fans out to, and returns what was
+//! recorded; `run_all` captures each experiment for the run manifest.
+//! Outside a capture, recording is a no-op. Two design rules keep the
+//! data trustworthy:
 //!
 //! 1. **Metric values are thread-count invariant.** Counters only ever
 //!    accumulate integers (addition is commutative, so parallel workers
 //!    cannot perturb them), and histograms/series are recorded from
 //!    sequential code after the sweep engine's index-ordered reassembly.
 //!    The CI determinism gate diffs these values across
-//!    `MOSAIC_THREADS=1` and the machine default.
+//!    `MOSAIC_THREADS` = 1, 2 and 8.
 //! 2. **Timings are segregated.** Wall/CPU time lives in stage records,
 //!    which the manifest diff treats as advisory (ratio checks), never as
 //!    determinism failures.
 //!
-//! The collector is a plain `Mutex` around BTreeMaps — telemetry calls
-//! are coarse (per stage, per figure, per sweep) so contention is nil,
-//! and BTreeMap keeps key order stable for byte-stable JSON output.
+//! A sink is a plain `Mutex` around BTreeMaps — telemetry calls are
+//! coarse (per stage, per figure, per sweep) so contention is nil, and
+//! BTreeMap keeps key order stable for byte-stable JSON output.
 
 use crate::json::Json;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A histogram with caller-fixed bucket edges.
@@ -98,7 +101,7 @@ impl StageRecord {
     }
 }
 
-/// An immutable snapshot of the collector.
+/// Everything one [`capture`] recorded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Monotonic integer counters, by name.
@@ -137,45 +140,76 @@ impl Snapshot {
     pub fn timings_json(&self) -> Json {
         Json::Arr(self.stages.iter().map(|s| s.to_json()).collect())
     }
+}
 
-    /// Total trials across all stages.
-    pub fn total_trials(&self) -> u64 {
-        self.stages.iter().map(|s| s.trials).sum()
-    }
+/// A run's sink: the snapshot every recording call on the run's
+/// threads adds to.
+type Sink = Arc<Mutex<Snapshot>>;
 
-    /// Total wall nanoseconds across all stages (stages may overlap only
-    /// if nested; figure pipelines run them sequentially).
-    pub fn total_wall_ns(&self) -> u64 {
-        self.stages.iter().map(|s| s.wall_ns).sum()
+thread_local! {
+    /// The sink recording calls on this thread write to: installed by
+    /// [`capture`] on the calling thread and by the sweep engine on each
+    /// of its workers, `None` when nobody listens.
+    static SINK: RefCell<Option<Sink>> = const { RefCell::new(None) };
+}
+
+/// Restores the thread's previous sink when dropped — on return and on
+/// unwind alike, so a panicking capture cannot leave its sink installed.
+struct Restore(Option<Sink>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        // `try_with` fails only during thread teardown, when there is
+        // nothing left to restore into.
+        let _ = SINK.try_with(|s| *s.borrow_mut() = prev);
     }
 }
 
-#[derive(Default)]
-struct Collector {
-    snap: Snapshot,
+/// Run `f` with `sink` installed as this thread's sink, then restore the
+/// previous one. Sweep workers call this with their caller's
+/// [`current`] sink so their counters land in the caller's run.
+pub(crate) fn with_sink<T>(sink: Option<Sink>, f: impl FnOnce() -> T) -> T {
+    let _restore = Restore(SINK.with(|s| s.replace(sink)));
+    f()
 }
 
-fn collector() -> &'static Mutex<Collector> {
-    static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
-        snap: Snapshot {
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            series: BTreeMap::new(),
-            stages: Vec::new(),
-        },
+/// This thread's sink, for handing to the workers of a fan-out.
+pub(crate) fn current() -> Option<Sink> {
+    SINK.with(|s| s.borrow().clone())
+}
+
+/// Whether a [`capture`] is listening on this thread. Call sites that
+/// build a metric name with `format!` check this first, so telemetry
+/// costs nothing when it is off.
+pub(crate) fn active() -> bool {
+    SINK.with(|s| s.borrow().is_some())
+}
+
+/// Run `f` and return its result together with everything it and the
+/// sweep workers it fans out to recorded. Captures nest: only the
+/// innermost records, and the outer sink is back when this returns or
+/// unwinds.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
+    let sink: Sink = Arc::default();
+    let out = with_sink(Some(Arc::clone(&sink)), f);
+    let snap = std::mem::take(&mut *lock(&sink));
+    (out, snap)
+}
+
+fn lock(sink: &Sink) -> MutexGuard<'_, Snapshot> {
+    // A poisoned sink only means a recording thread panicked mid-update
+    // (a histogram edge mismatch); the maps are still structurally sound.
+    sink.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Apply `f` to this thread's sink, if one is installed.
+fn record(f: impl FnOnce(&mut Snapshot)) {
+    SINK.with(|s| {
+        if let Some(sink) = &*s.borrow() {
+            f(&mut lock(sink));
+        }
     });
-    &COLLECTOR
-}
-
-fn lock() -> std::sync::MutexGuard<'static, Collector> {
-    #[cfg(test)]
-    test_guard::assert_held();
-    // A poisoned collector only means a panicking thread held the lock;
-    // the telemetry maps are still structurally sound.
-    match collector().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Add `delta` to the named counter (creating it at zero).
@@ -183,8 +217,7 @@ fn lock() -> std::sync::MutexGuard<'static, Collector> {
 /// Integer addition commutes, so this is safe to call from parallel
 /// workers without breaking thread-count invariance.
 pub fn counter_add(name: &str, delta: u64) {
-    let mut g = lock();
-    *g.snap.counters.entry(name.to_string()).or_insert(0) += delta;
+    record(|snap| *snap.counters.entry(name.to_string()).or_insert(0) += delta);
 }
 
 /// Observe one value in the named histogram, creating it with `edges` on
@@ -194,28 +227,28 @@ pub fn counter_add(name: &str, delta: u64) {
 /// Panics if the histogram exists with different edges — bucket edges
 /// are fixed at first registration by design.
 pub fn observe(name: &str, edges: &[f64], v: f64) {
-    let mut g = lock();
-    let h = g
-        .snap
-        .histograms
-        .entry(name.to_string())
-        .or_insert_with(|| Histogram::new(edges));
-    assert_eq!(
-        h.edges, edges,
-        "histogram {name:?} re-registered with different edges"
-    );
-    h.observe(v);
+    record(|snap| {
+        let h = snap
+            .histograms
+            .entry(name.to_string())
+            .or_insert_with(|| Histogram::new(edges));
+        assert_eq!(
+            h.edges, edges,
+            "histogram {name:?} re-registered with different edges"
+        );
+        h.observe(v);
+    });
 }
 
 /// Append values to the named series. Call from sequential code only
 /// (series order is part of the deterministic output).
 pub fn record_series(name: &str, values: &[f64]) {
-    let mut g = lock();
-    g.snap
-        .series
-        .entry(name.to_string())
-        .or_default()
-        .extend_from_slice(values);
+    record(|snap| {
+        snap.series
+            .entry(name.to_string())
+            .or_default()
+            .extend_from_slice(values);
+    });
 }
 
 /// CPU time (user + system) consumed by this process so far, in
@@ -289,98 +322,52 @@ impl Stopwatch {
 }
 
 /// Run `f`, recording a [`StageRecord`] with the given label and trial
-/// count. Nested stages each get their own record.
+/// count. Nested stages each get their own record. Outside a
+/// [`capture`] this is just `f()`: no clock and no `/proc` read.
 pub fn stage<T>(name: &str, trials: u64, f: impl FnOnce() -> T) -> T {
+    if !active() {
+        return f();
+    }
     let cpu0 = process_cpu_ns();
     let t0 = Stopwatch::start();
     let out = f();
     let wall_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let cpu1 = process_cpu_ns();
-    let mut g = lock();
-    g.snap.stages.push(StageRecord {
-        name: name.to_string(),
-        trials,
-        wall_ns,
-        cpu_ns: cpu1.saturating_sub(cpu0),
+    record(|snap| {
+        snap.stages.push(StageRecord {
+            name: name.to_string(),
+            trials,
+            wall_ns,
+            cpu_ns: cpu1.saturating_sub(cpu0),
+        })
     });
     out
 }
 
-/// Snapshot the collector's current contents.
-pub fn snapshot() -> Snapshot {
-    lock().snap.clone()
-}
-
-/// Clear the collector (between figures, and at test boundaries).
-pub fn reset() {
-    let mut g = lock();
-    g.snap = Snapshot::default();
-}
-
-/// Snapshot and clear in one locked step — what `run_all` uses at each
-/// figure boundary.
-pub fn take() -> Snapshot {
-    let mut g = lock();
-    std::mem::take(&mut g.snap)
-}
-
-/// The lock the crate's lib tests share the process-global collector
-/// under. A test that reads snapshot deltas, or clears the collector,
-/// holds it [`exclusive`](test_guard::exclusive)ly; a test that only
-/// writes telemetry holds it [`shared`](test_guard::shared), so writers
-/// still run in parallel with each other but never inside a reader's
-/// window. Every collector access checks that some test holds it, so a
-/// new telemetry-writing test cannot silently join the race.
-#[cfg(test)]
-pub(crate) mod test_guard {
-    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
-
-    static TEST_GUARD: RwLock<()> = RwLock::new(());
-
-    /// Sole access to the collector, for the length of the guard.
-    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
-        TEST_GUARD.write().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Write access alongside other writers, excluding every reader.
-    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
-        TEST_GUARD.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Panic unless a test holds the guard in either mode.
-    pub(crate) fn assert_held() {
-        assert!(
-            matches!(TEST_GUARD.try_write(), Err(TryLockError::WouldBlock)),
-            "a lib test touched the telemetry collector without holding \
-             telemetry::test_guard::shared() or exclusive()"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::test_guard::exclusive;
     use super::*;
+    use crate::sweep::{Exec, TrialPlan};
 
     #[test]
-    fn counters_accumulate_and_reset() {
-        let _x = exclusive();
-        reset();
-        counter_add("trials.test", 5);
-        counter_add("trials.test", 7);
-        let snap = take();
+    fn counters_accumulate_in_a_capture() {
+        let ((), snap) = capture(|| {
+            counter_add("trials.test", 5);
+            counter_add("trials.test", 7);
+        });
         assert_eq!(snap.counters["trials.test"], 12);
-        assert!(snapshot().counters.is_empty());
+        // The capture is gone: a second one starts empty.
+        let ((), again) = capture(|| ());
+        assert_eq!(again, Snapshot::default());
     }
 
     #[test]
     fn histogram_buckets_values() {
-        let _x = exclusive();
-        reset();
-        for v in [0.5, 1.0, 1.5, 99.0] {
-            observe("h", &[1.0, 2.0], v);
-        }
-        let snap = take();
+        let ((), snap) = capture(|| {
+            for v in [0.5, 1.0, 1.5, 99.0] {
+                observe("h", &[1.0, 2.0], v);
+            }
+        });
         let h = &snap.histograms["h"];
         assert_eq!(h.counts, vec![2, 1, 1]);
         assert_eq!(h.total, 4);
@@ -388,35 +375,114 @@ mod tests {
 
     #[test]
     fn series_and_stage_record() {
-        let _x = exclusive();
-        reset();
-        record_series("fig.x", &[1.0, 2.0]);
-        record_series("fig.x", &[3.0]);
-        let out = stage("unit", 10, || 42);
+        let (out, snap) = capture(|| {
+            record_series("fig.x", &[1.0, 2.0]);
+            record_series("fig.x", &[3.0]);
+            stage("unit", 10, || 42)
+        });
         assert_eq!(out, 42);
-        let snap = take();
         assert_eq!(snap.series["fig.x"], vec![1.0, 2.0, 3.0]);
         assert_eq!(snap.stages.len(), 1);
         assert_eq!(snap.stages[0].trials, 10);
-        assert_eq!(snap.total_trials(), 10);
         assert!(snap.stages[0].wall_ns > 0);
     }
 
     #[test]
     fn values_json_excludes_timings() {
-        let _x = exclusive();
-        reset();
-        counter_add("c", 1);
-        observe("h", &[1.0], 0.5);
-        record_series("s", &[2.5]);
-        stage("timed", 3, || ());
-        let snap = take();
+        let ((), snap) = capture(|| {
+            counter_add("c", 1);
+            observe("h", &[1.0], 0.5);
+            record_series("s", &[2.5]);
+            stage("timed", 3, || ());
+        });
         let values = snap.values_json().to_string_pretty();
         assert!(values.contains("\"c\": 1"));
         assert!(!values.contains("wall_ns"));
         let timings = snap.timings_json().to_string_pretty();
         assert!(timings.contains("wall_ns"));
         assert!(timings.contains("\"trials\": 3"));
+    }
+
+    #[test]
+    fn recording_outside_a_capture_is_dropped() {
+        assert!(!active());
+        counter_add("nobody.listens", 1);
+        record_series("nobody.listens", &[1.0]);
+        assert_eq!(stage("nobody.listens", 1, || 5), 5);
+        let ((), snap) = capture(|| assert!(active()));
+        assert_eq!(snap, Snapshot::default());
+        assert!(!active());
+    }
+
+    #[test]
+    fn nested_captures_record_only_into_the_innermost() {
+        let (inner, outer) = capture(|| {
+            counter_add("outer", 1);
+            let ((), inner) = capture(|| counter_add("inner", 2));
+            counter_add("outer", 3);
+            inner
+        });
+        assert_eq!(inner.counters.len(), 1);
+        assert_eq!(inner.counters["inner"], 2);
+        assert_eq!(outer.counters.len(), 1);
+        assert_eq!(outer.counters["outer"], 4);
+    }
+
+    #[test]
+    fn a_panicking_capture_restores_the_outer_sink() {
+        let ((), outer) = capture(|| {
+            counter_add("outer", 1);
+            let unwound = std::panic::catch_unwind(|| {
+                capture(|| {
+                    counter_add("inner", 1);
+                    panic!("capture body died");
+                })
+            });
+            assert!(unwound.is_err());
+            counter_add("outer", 1);
+        });
+        assert_eq!(outer.counters.len(), 1, "{:?}", outer.counters);
+        assert_eq!(outer.counters["outer"], 2);
+        assert!(!active());
+    }
+
+    /// Two runs on two threads at once, each fanning a labelled plan out
+    /// over two workers that record counters: each capture sees exactly
+    /// its own counters and its own stage.
+    #[test]
+    fn concurrent_captures_are_isolated_and_inherited_by_workers() {
+        // Both captures are active before either plan starts.
+        let both_active = std::sync::Barrier::new(2);
+        let run = |label: &'static str, trials: u64| {
+            capture(|| {
+                both_active.wait();
+                TrialPlan::new().trials(trials).seed(1).label(label).sum(
+                    &Exec::with_threads(2),
+                    |ctx| {
+                        counter_add(label, 1);
+                        ctx.trial()
+                    },
+                )
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run("iso.a", 300));
+            let b = s.spawn(|| run("iso.b", 500));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for ((sum, snap), label, trials) in [(a, "iso.a", 300u64), (b, "iso.b", 500)] {
+            assert_eq!(sum, trials * (trials - 1) / 2);
+            let expected: BTreeMap<String, u64> = [
+                (label.to_string(), trials),
+                (format!("trials.{label}"), trials),
+            ]
+            .into_iter()
+            .collect();
+            assert_eq!(snap.counters, expected, "{label}");
+            assert_eq!(snap.stages.len(), 1, "{label}");
+            assert_eq!(snap.stages[0].name, format!("par_trials.{label}"));
+            assert_eq!(snap.stages[0].trials, trials);
+        }
     }
 
     /// On-CPU nanoseconds of the calling thread so far (first field of
@@ -462,17 +528,21 @@ mod tests {
 
     #[test]
     fn counter_adds_commute_across_threads() {
-        let _x = exclusive();
-        reset();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        counter_add("par", 2);
-                    }
-                });
-            }
+        let ((), snap) = capture(|| {
+            let sink = current();
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    let sink = sink.clone();
+                    s.spawn(move || {
+                        with_sink(sink, || {
+                            for _ in 0..100 {
+                                counter_add("par", 2);
+                            }
+                        })
+                    });
+                }
+            });
         });
-        assert_eq!(take().counters["par"], 800);
+        assert_eq!(snap.counters["par"], 800);
     }
 }

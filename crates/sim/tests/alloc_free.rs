@@ -2,7 +2,8 @@
 //! for the bit-sliced kernels: a counting global allocator wraps the
 //! system allocator, and the sliced slicer / injector / RS channel step /
 //! scrambler / PRBS hot paths must not touch it once their buffers are
-//! warmed.
+//! warmed, and neither may a labelled `TrialPlan` while no telemetry
+//! capture is listening.
 //!
 //! The fec-side twin is `crates/fec/tests/alloc_free.rs`; both harnesses
 //! are cross-checked against the `mosaic_lint` R4 no-alloc registry.
@@ -16,6 +17,8 @@ use mosaic_link::striping::LaneStream;
 use mosaic_sim::inject::BitErrorInjector;
 use mosaic_sim::montecarlo::{CodedRun, RsChannelScratch, SlicerPoint};
 use mosaic_sim::rng::DetRng;
+use mosaic_sim::sweep::{Exec, TrialPlan};
+use mosaic_sim::telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -203,6 +206,26 @@ fn sliced_kernel_paths_do_not_allocate() {
         bank.bits_into(64, &mut bulk);
     });
     assert_eq!(n, 0, "PRBS bank kernels allocated {n} times");
+
+    // --- Telemetry off: a labelled plan outside any capture formats no
+    //     metric name, takes no clock and reads no /proc file ----------
+    let plan = TrialPlan::new().trials(64).seed(3).label("alloc-free-plan");
+    let exec = Exec::with_threads(1);
+    total += plan.sum(&exec, |ctx| ctx.trial());
+    let n = allocs_during(|| {
+        for _ in 0..8 {
+            total += plan.sum(&exec, |ctx| ctx.trial());
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "a labelled plan with telemetry off allocated {n} times"
+    );
+    // The same plan inside a capture does record.
+    let (sum, snap) = telemetry::capture(|| plan.sum(&exec, |ctx| ctx.trial()));
+    assert_eq!(sum, 64 * 63 / 2);
+    assert_eq!(snap.counters["trials.alloc-free-plan"], 64);
+    assert_eq!(snap.stages.len(), 1);
 
     // Keep the accumulator live so nothing above is optimized away.
     assert!(
